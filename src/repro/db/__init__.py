@@ -11,8 +11,6 @@ from .counting import (
     SupportCounter,
     TrieCounter,
     available_engines,
-    count_pairs,
-    count_singletons,
     engine_decision,
     get_counter,
     select_engine,
@@ -66,8 +64,6 @@ __all__ = [
     "load_snapshot",
     "snapshot_database",
     "write_snapshot",
-    "count_pairs",
-    "count_singletons",
     "engine_decision",
     "get_counter",
     "measure_density",

@@ -58,9 +58,7 @@ Engines provided:
     counts are identical to the in-memory engines while the resident
     index never exceeds ``memory_budget``.
 
-The 1-D / 2-D array fast paths for passes 1 and 2 (Özden et al., adopted by
-the paper in Section 4.1.1) are :func:`count_singletons` and
-:func:`count_pairs`; the miners call them directly for the first two passes.
+Every pass, the first two included, is counted by the selected engine.
 """
 
 from __future__ import annotations
@@ -69,8 +67,7 @@ import operator
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from .._types import CountingDeadline, Itemset
 from .base import SupportCounter
@@ -85,7 +82,6 @@ from .vertical import (
     HAVE_NUMPY,
     LruPrefixCache,
     PackedCounter,
-    PrefixIntersector,
     popcount,
 )
 
@@ -107,18 +103,11 @@ __all__ = [
     "SupportCounter",
     "TrieCounter",
     "available_engines",
-    "count_pairs",
-    "count_singletons",
     "engine_decision",
     "get_counter",
     "resolve_counter",
     "select_engine",
 ]
-
-#: Kept as a module-level alias so existing imports keep working; the
-#: per-call ``try/except AttributeError`` it used to wrap is now resolved
-#: once at import time in :mod:`repro.db.vertical`.
-_popcount = popcount
 
 
 class NaiveCounter(SupportCounter):
@@ -415,39 +404,3 @@ def resolve_counter(db, name, counter):
 def available_engines() -> List[str]:
     """Names of all registered engines."""
     return sorted(_ENGINES)
-
-
-# ----------------------------------------------------------------------
-# pass-1 / pass-2 array fast paths (paper Section 4.1.1)
-# ----------------------------------------------------------------------
-
-
-def count_singletons(db: TransactionDatabase) -> Dict[Itemset, int]:
-    """Pass-1 support counts via a 1-D array over the item universe.
-
-    "The support counting phase runs very fast by using an array, since no
-    searching is needed."  Returns counts keyed by 1-itemsets, including
-    zero-support universe items.
-    """
-    return {(item,): count for item, count in db.item_support_counts().items()}
-
-
-def count_pairs(
-    db: TransactionDatabase, frequent_items: Sequence[int]
-) -> Dict[Itemset, int]:
-    """Pass-2 support counts of all pairs of ``frequent_items``.
-
-    Implements the 2-D array idea: every pair of frequent items in each
-    transaction bumps one cell, so "no candidate generation process for
-    2-itemsets is needed".  Pairs that never co-occur are reported with
-    count 0 so callers can classify all of them.
-    """
-    keep = frozenset(frequent_items)
-    counts: Dict[Itemset, int] = {
-        pair: 0 for pair in combinations(sorted(keep), 2)
-    }
-    for transaction in db:
-        present = sorted(transaction & keep)
-        for pair in combinations(present, 2):
-            counts[pair] += 1
-    return counts

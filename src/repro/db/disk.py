@@ -11,7 +11,7 @@ pass really is a file read.
 
 :class:`DiskTransactionDatabase` exposes the same surface the counting
 engines use (`__len__`, `__iter__`, ``transactions``, ``universe``,
-``item_bitmaps``, ``absolute_support``, ...), plus:
+``vertical``, ``item_bitmaps``, ``absolute_support``, ...), plus:
 
 * ``file_reads`` / ``records_streamed`` — how many times the file was
   scanned and how many basket lines were parsed in total;
@@ -24,9 +24,9 @@ engines use (`__len__`, `__iter__`, ``transactions``, ``universe``,
   the metadata pass and the bitmap build are replaced by one
   memory-mappable file read.
 
-The vertical-bitmap engine still works: its bitmaps are built from one
-streaming pass and cached (they are |I| × |D| *bits*, far smaller than
-the parsed transactions).
+The vertical engines still work: their view is built from one streaming
+pass and cached (it is |I| × |D| *bits*, far smaller than the parsed
+transactions).
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, Optional, Union
 
+from .io import iter_basket
 from .snapshot import Snapshot, default_snapshot_path, load_snapshot, snapshot_database
+from .vertical import VerticalView, build_vertical
 
 PathLike = Union[str, Path]
 
@@ -55,7 +57,9 @@ class DiskTransactionDatabase:
         self.file_reads = 0
         self.records_streamed = 0
         self._snapshot: Optional[Snapshot] = None
+        self._vertical: Optional[VerticalView] = None
         self._bitmaps: Optional[Dict[int, int]] = None
+        self._item_counts: Optional[Dict[int, int]] = None
         if snapshot is not None:
             snap = (
                 snapshot
@@ -80,22 +84,9 @@ class DiskTransactionDatabase:
 
     def _stream(self) -> Iterator[FrozenSet[int]]:
         self.file_reads += 1
-        with open(self._path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    transaction = frozenset(
-                        int(token) for token in stripped.split()
-                    )
-                except ValueError:
-                    raise ValueError(
-                        "%s:%d: non-integer item in basket line"
-                        % (self._path, line_number)
-                    ) from None
-                self.records_streamed += 1
-                yield transaction
+        for items in iter_basket(self._path):
+            self.records_streamed += 1
+            yield frozenset(items)
 
     def __iter__(self) -> Iterator[FrozenSet[int]]:
         return self._stream()
@@ -152,11 +143,15 @@ class DiskTransactionDatabase:
         return self.support_count(candidate) / self._length
 
     def item_support_counts(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {item: 0 for item in self._universe}
-        for transaction in self:
-            for item in transaction:
-                counts[item] += 1
-        return counts
+        """Support count of every universe item, as row popcounts.
+
+        Taken from :meth:`vertical`, so a snapshot-backed database never
+        reads the basket file for them.  Counted once; every call returns
+        a fresh copy.
+        """
+        if self._item_counts is None:
+            self._item_counts = self.vertical().item_counts()
+        return dict(self._item_counts)
 
     def average_transaction_size(self) -> float:
         if not self._length:
@@ -164,25 +159,29 @@ class DiskTransactionDatabase:
         total = sum(len(transaction) for transaction in self)
         return total / self._length
 
-    def item_bitmaps(self) -> Dict[int, int]:
-        """Vertical bitmaps built from one streaming pass, then cached.
+    def vertical(self) -> VerticalView:
+        """The packed vertical view, cached after the first call.
 
-        After this, the bitmap engine no longer touches the file — the
-        bitmaps *are* the database, vertically.  Pass accounting then
-        models the paper's I/O, while ``file_reads`` tracks physical
-        reads.  A database opened from a snapshot loads the bitmaps from
-        the snapshot instead, skipping the basket parse.
+        A database opened from a snapshot maps the snapshot's matrix
+        (:meth:`~repro.db.snapshot.Snapshot.vertical`) and never reads
+        the basket file; otherwise one streaming pass builds it.  After
+        this, the vertical engines no longer touch the file — the view
+        *is* the database, vertically.  Pass accounting then models the
+        paper's I/O, while ``file_reads`` tracks physical reads.
         """
-        if self._bitmaps is None:
+        if self._vertical is None:
             if self._snapshot is not None:
-                self._bitmaps = self._snapshot.int_bitmaps()
+                self._vertical = self._snapshot.vertical()
             else:
-                bitmaps = {item: 0 for item in self._universe}
-                for position, transaction in enumerate(self._stream()):
-                    bit = 1 << position
-                    for item in transaction:
-                        bitmaps[item] |= bit
-                self._bitmaps = bitmaps
+                self._vertical = build_vertical(
+                    self._stream(), self._universe, self._length
+                )
+        return self._vertical
+
+    def item_bitmaps(self) -> Dict[int, int]:
+        """Vertical int bitmaps, derived once from :meth:`vertical`'s rows."""
+        if self._bitmaps is None:
+            self._bitmaps = self.vertical().int_bitmaps()
         return self._bitmaps
 
     def occurring_items(self):
@@ -203,8 +202,8 @@ class DiskTransactionDatabase:
 
         Default location is the basket file plus ``.snap``.  The written
         snapshot immediately backs this instance too, so subsequent
-        ``item_bitmaps`` users (the counting engines, the shared-memory
-        plane's mmap fallback) read it instead of the baskets.
+        readers (the counting engines, the shared-memory plane's mmap
+        fallback) use it instead of the baskets.
 
         With ``num_partitions`` or ``partition_rows`` the partitioned v2
         layout is written by *streaming* the baskets — memory stays

@@ -15,32 +15,37 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Union
+from typing import Iterator, List, Union
 
 from .transaction_db import TransactionDatabase
 
 PathLike = Union[str, Path]
 
 
-def load_basket(path: PathLike) -> TransactionDatabase:
-    """Load a FIMI-format basket file.
+def iter_basket(path: PathLike) -> Iterator[List[int]]:
+    """Stream a FIMI-format basket file: one list of items per basket line.
 
     Blank lines are skipped; a malformed token raises :class:`ValueError`
-    with the offending line number.
+    with the offending line number.  The one basket parser, shared by
+    :func:`load_basket` and :class:`~repro.db.disk.DiskTransactionDatabase`.
     """
-    transactions: List[List[int]] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped:
                 continue
             try:
-                transactions.append([int(token) for token in stripped.split()])
+                items = [int(token) for token in stripped.split()]
             except ValueError:
                 raise ValueError(
                     "%s:%d: non-integer item in basket line" % (path, line_number)
                 ) from None
-    return TransactionDatabase(transactions)
+            yield items
+
+
+def load_basket(path: PathLike) -> TransactionDatabase:
+    """Load a FIMI-format basket file (parsed by :func:`iter_basket`)."""
+    return TransactionDatabase(iter_basket(path))
 
 
 def save_basket(db: TransactionDatabase, path: PathLike) -> None:

@@ -52,12 +52,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 from .._types import Itemset
 from .base import SupportCounter
 from .snapshot import SnapshotPartition, load_snapshot, partition_row_starts
-from .vertical import (
-    HAVE_NUMPY,
-    IntBitmapIndex,
-    PackedBitmapIndex,
-    build_index,
-)
+from .vertical import HAVE_NUMPY, IntBitmapIndex, build_index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .transaction_db import TransactionDatabase
@@ -295,12 +290,10 @@ class SnapshotPartitionHandle:
     ) -> List[int]:
         part = self._partition
         if HAVE_NUMPY and not self._force_python:
-            # memmap the partition, then count through a column-slice
+            # map the partition, then count through a column-slice
             # view: only the window's pages are faulted (a row-major
             # matrix slice touches ~one page run per item row)
-            rows = {item: row for row, item in enumerate(part.universe)}
-            full = PackedBitmapIndex(part.matrix(), rows, part.num_rows)
-            return full.word_slice(word_lo, word_hi).counts(
+            return part.packed_index().word_slice(word_lo, word_hi).counts(
                 candidates, deadline_check
             )
         rows_before = min(part.num_rows, word_lo * 64)

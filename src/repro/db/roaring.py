@@ -62,7 +62,7 @@ shm → mmap → pipe → serial ladder.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .._types import Itemset
 from .base import SupportCounter
@@ -70,8 +70,9 @@ from .vertical import (
     HAVE_NUMPY,
     IntBitmapIndex,
     PackedBitmapIndex,
+    VerticalView,
     popcount,
-    _int_bitmaps,
+    view_constructors,
 )
 
 try:  # NumPy is optional; the pure-Python rungs cover its absence.
@@ -382,6 +383,7 @@ if _np is not None:
         )
 
 
+@view_constructors
 class RoaringIndex:
     """Hybrid container index over one database's vertical view.
 
@@ -402,49 +404,30 @@ class RoaringIndex:
         return self._num_rows
 
     @classmethod
-    def from_bitmaps(
-        cls, bitmaps: Dict[int, int], num_rows: int
-    ) -> "RoaringIndex":
+    def from_view(cls, view: VerticalView) -> "RoaringIndex":
         columns: Dict[int, object] = {}
-        for item, value in bitmaps.items():
-            container = cls._build_column(value, num_rows)
+        for item, data in view.row_slices():
+            container = cls._build_column(data)
             if container is not None:  # empty columns: lookup miss = 0
                 columns[item] = container
-        return cls(columns, num_rows)
-
-    @classmethod
-    def from_transactions(
-        cls,
-        transactions: Sequence[Iterable[int]],
-        universe: Optional[Iterable[int]] = None,
-    ) -> "RoaringIndex":
-        transactions = list(transactions)
-        return cls.from_bitmaps(
-            _int_bitmaps(transactions, universe), len(transactions)
-        )
-
-    @classmethod
-    def from_database(cls, db) -> "RoaringIndex":
-        return cls.from_bitmaps(dict(db.item_bitmaps()), len(db))
+        return cls(columns, view.num_rows)
 
     @staticmethod
-    def _build_column(value: int, num_rows: int):
-        """Cheapest whole-column container for one item's bitmap.
+    def _build_column(data):
+        """Cheapest whole-column container for one item's packed row bytes.
 
         Byte costs: array ``8*card``, run ``16*runs``, bitmap ``8*words``
         over the occupied chunk-aligned span; ties prefer the array form
         (its probe is the cheapest intersection).  Empty columns return
         ``None`` and are not stored at all.
         """
-        if not value:
-            return None
-        data = value.to_bytes((num_rows + 7) // 8 or 1, "little")
-        data += b"\x00" * (-len(data) % 8)
         # the whole container decision runs at word level — positions are
         # unpacked only if the array/run form actually wins, so a dense
         # column never pays for bit unpacking at all
         words_all = _np.frombuffer(data, dtype=_np.uint64)
         occupied = _np.flatnonzero(words_all)
+        if not occupied.shape[0]:
+            return None
         occ_vals = words_all.take(occupied)
         card = int(_popcount_words(occ_vals[None, :])[0])
         # run count without positions: a run of L set bits contains L-1
@@ -462,14 +445,14 @@ class RoaringIndex:
                 (occ_vals[:-1] >> _np.uint64(63)) & occ_vals[1:]
             ) & _np.uint64(1)
             pairs += int(_np.count_nonzero(adjacent & (straddle != 0)))
-        chunk_bytes = CHUNK_SIZE // 8
-        first_chunk = int(occupied[0]) // CHUNK_WORDS
-        last_chunk = int(occupied[-1]) // CHUNK_WORDS
-        lo_byte = first_chunk * chunk_bytes
-        hi_byte = min(len(data), (last_chunk + 1) * chunk_bytes)
+        lo_word = int(occupied[0]) // CHUNK_WORDS * CHUNK_WORDS
+        hi_word = min(
+            words_all.shape[0],
+            (int(occupied[-1]) // CHUNK_WORDS + 1) * CHUNK_WORDS,
+        )
         sparse_bytes = 8 * card
         run_bytes = 16 * (card - pairs)
-        dense_bytes = 8 * ((hi_byte - lo_byte + 7) // 8)
+        dense_bytes = 8 * (hi_word - lo_word)
         if min(sparse_bytes, run_bytes) <= dense_bytes:
             bits = _np.unpackbits(occ_vals.view(_np.uint8), bitorder="little")
             flat = _np.flatnonzero(bits)
@@ -480,10 +463,7 @@ class RoaringIndex:
             starts = _np.concatenate(([positions[0]], positions[breaks + 1]))
             stops = _np.concatenate((positions[breaks], [positions[-1]])) + 1
             return _Run(_np.stack([starts, stops], axis=1), card)
-        piece = data[lo_byte:hi_byte]
-        piece += b"\x00" * (-len(piece) % 8)
-        words = _np.frombuffer(piece, dtype=_np.uint8).view(_np.uint64).copy()
-        return _Dense(first_chunk * CHUNK_WORDS, words, card)
+        return _Dense(lo_word, words_all[lo_word:hi_word].copy(), card)
 
     # ------------------------------------------------------------------
 
@@ -693,6 +673,7 @@ class _IntVector:
         return total
 
 
+@view_constructors
 class ChunkedIntIndex:
     """Pure-Python twin of :class:`RoaringIndex` (chunked int bitmaps).
 
@@ -712,37 +693,17 @@ class ChunkedIntIndex:
         return self._num_rows
 
     @classmethod
-    def from_bitmaps(
-        cls, bitmaps: Dict[int, int], num_rows: int
-    ) -> "ChunkedIntIndex":
-        mask = (1 << CHUNK_SIZE) - 1
+    def from_view(cls, view: VerticalView) -> "ChunkedIntIndex":
+        chunk_bytes = CHUNK_SIZE // 8
         columns: Dict[int, _IntVector] = {}
-        for item, value in bitmaps.items():
+        for item, data in view.row_slices():
             chunks: Dict[int, int] = {}
-            index = 0
-            while value:
-                piece = value & mask
+            for index, start in enumerate(range(0, len(data), chunk_bytes)):
+                piece = int.from_bytes(data[start : start + chunk_bytes], "little")
                 if piece:
                     chunks[index] = piece
-                value >>= CHUNK_SIZE
-                index += 1
             columns[item] = _IntVector(chunks)
-        return cls(columns, num_rows)
-
-    @classmethod
-    def from_transactions(
-        cls,
-        transactions: Sequence[Iterable[int]],
-        universe: Optional[Iterable[int]] = None,
-    ) -> "ChunkedIntIndex":
-        transactions = list(transactions)
-        return cls.from_bitmaps(
-            _int_bitmaps(transactions, universe), len(transactions)
-        )
-
-    @classmethod
-    def from_database(cls, db) -> "ChunkedIntIndex":
-        return cls.from_bitmaps(dict(db.item_bitmaps()), len(db))
+        return cls(columns, view.num_rows)
 
     def counts(
         self,
@@ -765,6 +726,14 @@ class ChunkedIntIndex:
 # ----------------------------------------------------------------------
 # the engine facade
 # ----------------------------------------------------------------------
+
+#: The index class serving each rung of :data:`TIER_LADDER`.
+_TIER_INDEX = {
+    "roaring": RoaringIndex,
+    "packed": PackedBitmapIndex,
+    "bitmap": ChunkedIntIndex,
+    "python": IntBitmapIndex,
+}
 
 
 class RoaringCounter(SupportCounter):
@@ -815,32 +784,18 @@ class RoaringCounter(SupportCounter):
             return "roaring" if density <= self._dense_cutoff else "packed"
         return "bitmap" if density <= self._dense_cutoff else "python"
 
-    @staticmethod
-    def _build_index(tier: str, bitmaps: Dict[int, int], num_rows: int):
-        if tier == "roaring":
-            return RoaringIndex.from_bitmaps(bitmaps, num_rows)
-        if tier == "packed":
-            return PackedBitmapIndex.from_bitmaps(bitmaps, num_rows)
-        if tier == "bitmap":
-            return ChunkedIntIndex.from_bitmaps(bitmaps, num_rows)
-        return IntBitmapIndex.from_bitmaps(bitmaps, num_rows)
-
     def _index_for(self, db):
         if (
             self._index is None
             or self._index_db is None
             or self._index_db() is not db
         ):
-            bitmaps = db.item_bitmaps()
-            num_rows = len(db)
-            cells = len(bitmaps) * num_rows
-            density = (
-                sum(popcount(value) for value in bitmaps.values()) / cells
-                if cells
-                else 0.0
-            )
+            # the per-item counts engine resolution already measured
+            counts = db.item_support_counts()
+            cells = len(counts) * len(db)
+            density = sum(counts.values()) / cells if cells else 0.0
             tier = self._resolve_tier(density)
-            self._index = self._build_index(tier, bitmaps, num_rows)
+            self._index = _TIER_INDEX[tier].from_view(db.vertical())
             self._index_db = weakref.ref(db)
             self.tier = tier
             self.density = density

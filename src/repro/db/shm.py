@@ -605,7 +605,7 @@ class ShmShardedCounter(ShardedCounter):
         snapshot_path = getattr(db, "snapshot_path", None)
         if snapshot_path is not None:
             return load_snapshot(snapshot_path).packed_index()
-        return PackedBitmapIndex.from_database(db)
+        return PackedBitmapIndex.from_view(db.vertical())
 
     def _mmap_fallback(self, db, index, num_words):
         """Second rung: share the matrix through a snapshot file mmap."""

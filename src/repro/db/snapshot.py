@@ -6,8 +6,8 @@ A snapshot serialises the *vertical* view of a transaction database — the
 the row count — into a single flat file designed to be **memory-mapped**:
 every multi-byte field is little-endian, the matrix is row-major, and
 both the universe array and the matrix start on 8-byte boundaries, so a
-reader can hand the OS page cache the whole index with one
-``numpy.memmap`` call and zero parsing.
+reader can hand the OS page cache the whole index with one ``mmap``
+call and zero parsing.
 
 This is the pre-parallel tax killer for out-of-core mining: a
 :class:`repro.db.disk.DiskTransactionDatabase` normally pays one full
@@ -66,25 +66,28 @@ the full matrix.  :func:`load_snapshot` reads both; a v1 file surfaces as
 a single-partition snapshot, so partition-aware readers need no special
 case.
 
-The format is self-describing and NumPy-optional: the writers and
-:meth:`Snapshot.int_bitmaps` work with pure-Python int bitmaps, so
+The format is self-describing and NumPy-optional: the matrix payload is
+exactly the buffer of a :class:`~repro.db.vertical.VerticalView`, so the
+writers write that buffer as is and the readers map it back
+(:meth:`Snapshot.vertical`) with the same code on any interpreter;
 snapshots written on a NumPy box load on a bare interpreter and vice
 versa.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .vertical import HAVE_NUMPY, IntBitmapIndex, PackedBitmapIndex
-
-try:  # pragma: no cover - import guard mirrors repro.db.vertical
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from .vertical import (
+    PackedBitmapIndex,
+    VerticalView,
+    build_index,
+    build_vertical,
+)
 
 PathLike = Union[str, Path]
 
@@ -119,11 +122,6 @@ HEADER_SIZE = _HEADER.size  # 40 bytes; keeps the arrays 8-byte aligned
 _PARTITION_ENTRY = struct.Struct("<QQQQ")
 PARTITION_ENTRY_SIZE = _PARTITION_ENTRY.size  # 32 bytes, 8-aligned
 
-#: Buffered (item-row, local-row) pairs between vectorized matrix
-#: flushes in the streaming v2 writer; bounds writer memory to a few MiB
-#: regardless of partition size.
-_WRITER_FLUSH_PAIRS = 1 << 19
-
 
 class SnapshotFormatError(ValueError):
     """The file is not a snapshot this reader understands."""
@@ -148,16 +146,27 @@ def write_snapshot(
 ) -> Path:
     """Serialise a vertical index to ``path`` (atomic: write + rename).
 
-    Exactly one of ``bitmaps`` (item -> arbitrary-precision int bitmap,
-    the lazy vertical view) and ``matrix`` (a ``(num_items, num_words)``
-    uint64 array whose row order matches sorted ``universe``) must be
-    given.  Always writes format version 1 (single contiguous matrix);
-    see :func:`write_partitioned_snapshot` for the partitioned v2 layout.
+    Exactly one of ``matrix`` and ``bitmaps`` must be given.  ``matrix``
+    is the packed matrix, rows in sorted ``universe`` order: a
+    :attr:`~repro.db.vertical.VerticalView.buffer` (written as is — it
+    already is the payload) or a C-contiguous ``(num_items, num_words)``
+    uint64 array.  ``bitmaps`` (item -> int bitmap, as ``item_bitmaps``
+    returns) is packed first.  Always writes format version 1 (single
+    contiguous matrix); see :func:`write_partitioned_snapshot` for the
+    partitioned v2 layout.
     """
     if (bitmaps is None) == (matrix is None):
         raise ValueError("give exactly one of bitmaps and matrix")
     items = sorted(set(int(item) for item in universe))
     words = _num_words(num_rows)
+    if bitmaps is not None:
+        matrix = VerticalView.from_bitmaps(bitmaps, num_rows, items).buffer
+    payload = memoryview(matrix).cast("B")
+    if payload.nbytes != 8 * len(items) * words:
+        raise ValueError(
+            "%d-byte matrix does not match %d items x %d rows"
+            % (payload.nbytes, len(items), num_rows)
+        )
     path = Path(path)
     temp = path.with_name(path.name + ".tmp.%d" % os.getpid())
     with open(temp, "wb") as handle:
@@ -168,21 +177,7 @@ def write_snapshot(
             )
         )
         handle.write(struct.pack("<%dq" % len(items), *items))
-        if matrix is not None:
-            if tuple(matrix.shape) != (len(items), words):
-                raise ValueError(
-                    "matrix shape %r does not match universe/rows"
-                    % (tuple(matrix.shape),)
-                )
-            handle.write(
-                _np.ascontiguousarray(matrix, dtype="<u8").tobytes()
-            )
-        else:
-            num_bytes = words * 8
-            zero = b"\x00" * num_bytes
-            for item in items:
-                value = bitmaps.get(item, 0)
-                handle.write(value.to_bytes(num_bytes, "little") if value else zero)
+        handle.write(payload)
     os.replace(temp, path)
     return path
 
@@ -224,11 +219,12 @@ def write_partitioned_snapshot(
     *,
     num_partitions: Optional[int] = None,
     partition_rows: Optional[int] = None,
-    force_python: bool = False,
 ) -> Path:
     """Stream ``transactions`` into a partitioned v2 snapshot at ``path``.
 
-    ``transactions`` is consumed exactly once, in row order, and only one
+    ``transactions`` is consumed exactly once, in row order.  Each
+    partition's rows go through :func:`~repro.db.vertical.build_vertical`
+    and its buffer is written as the partition's matrix, so only one
     partition's matrix (``num_items x ceil(rows_p / 64)`` uint64 words)
     is resident at a time — the writer's memory is bounded by the
     *partition* size, not the database size, which is what lets
@@ -239,7 +235,6 @@ def write_partitioned_snapshot(
     :func:`write_snapshot` (temp file + rename).
     """
     items = sorted(set(int(item) for item in universe))
-    row_of = {item: row for row, item in enumerate(items)}
     starts = partition_row_starts(
         num_rows, num_partitions=num_partitions, partition_rows=partition_rows
     )
@@ -258,7 +253,6 @@ def write_partitioned_snapshot(
     path = Path(path)
     temp = path.with_name(path.name + ".tmp.%d" % os.getpid())
     stream = iter(transactions)
-    use_numpy = HAVE_NUMPY and not force_python
     try:
         with open(temp, "wb") as handle:
             handle.write(
@@ -271,15 +265,8 @@ def write_partitioned_snapshot(
             handle.write(struct.pack("<Q", len(table)))
             for entry in table:
                 handle.write(_PARTITION_ENTRY.pack(*entry))
-            for _, rows_p, words_p, _ in table:
-                if use_numpy:
-                    _stream_partition_numpy(
-                        handle, stream, rows_p, words_p, row_of, len(items)
-                    )
-                else:
-                    _stream_partition_python(
-                        handle, stream, rows_p, words_p, row_of, items
-                    )
+            for _, rows_p, _, _ in table:
+                handle.write(build_vertical(stream, items, rows_p).buffer)
     except Exception:
         try:
             os.unlink(temp)
@@ -288,63 +275,6 @@ def write_partitioned_snapshot(
         raise
     os.replace(temp, path)
     return path
-
-
-def _take_rows(stream: Iterator, rows_p: int) -> Iterator:
-    """The next ``rows_p`` transactions, or raise on a short stream."""
-    for local in range(rows_p):
-        try:
-            yield next(stream)
-        except StopIteration:
-            raise ValueError(
-                "transaction stream ended %d rows short of num_rows"
-                % (rows_p - local)
-            ) from None
-
-
-def _stream_partition_numpy(
-    handle, stream, rows_p, words_p, row_of, num_items
-) -> None:
-    matrix = _np.zeros((num_items, words_p), dtype="<u8")
-    buf_items: List[int] = []
-    buf_rows: List[int] = []
-
-    def flush() -> None:
-        if not buf_items:
-            return
-        item_rows = _np.asarray(buf_items, dtype=_np.intp)
-        positions = _np.asarray(buf_rows, dtype=_np.int64)
-        bits = _np.left_shift(
-            _np.uint64(1), (positions & 63).astype(_np.uint64)
-        )
-        _np.bitwise_or.at(matrix, (item_rows, positions >> 6), bits)
-        del buf_items[:], buf_rows[:]
-
-    for local, transaction in enumerate(_take_rows(stream, rows_p)):
-        for item in transaction:
-            buf_items.append(row_of[item])
-            buf_rows.append(local)
-        if len(buf_items) >= _WRITER_FLUSH_PAIRS:
-            flush()
-    flush()
-    handle.write(matrix.tobytes())
-
-
-def _stream_partition_python(
-    handle, stream, rows_p, words_p, row_of, items
-) -> None:
-    bitmaps: Dict[int, int] = {}
-    for local, transaction in enumerate(_take_rows(stream, rows_p)):
-        bit = 1 << local
-        for item in transaction:
-            if item not in row_of:
-                raise KeyError(item)
-            bitmaps[item] = bitmaps.get(item, 0) | bit
-    num_bytes = words_p * 8
-    zero = b"\x00" * num_bytes
-    for item in items:
-        value = bitmaps.get(item, 0)
-        handle.write(value.to_bytes(num_bytes, "little") if value else zero)
 
 
 def snapshot_database(
@@ -357,15 +287,16 @@ def snapshot_database(
     """Build and write the snapshot of any database exposing the db surface.
 
     Works for :class:`~repro.db.transaction_db.TransactionDatabase` and
-    :class:`~repro.db.disk.DiskTransactionDatabase` alike: one (streaming)
-    pass builds the vertical view, then it is serialised.  Returns the
+    :class:`~repro.db.disk.DiskTransactionDatabase` alike.  Returns the
     written path (default: the database file + ``.snap`` when the
     database knows its file, else ``path`` is required).
 
-    With ``num_partitions`` or ``partition_rows`` the snapshot is written
-    in the partitioned v2 layout by streaming rows (memory bounded by one
-    partition); otherwise the v1 single-matrix layout is written from the
-    database's vertical bitmaps.
+    Without partition options the v1 single-matrix layout is written: the
+    database's ``vertical()`` buffer (one streaming pass for a disk
+    database, cached on the database) is the payload, written as is.
+    With ``num_partitions`` or ``partition_rows`` the v2 layout is
+    written by :func:`write_partitioned_snapshot`, streaming the rows
+    (memory bounded by one partition).
     """
     if path is None:
         source = getattr(db, "path", None)
@@ -377,8 +308,9 @@ def snapshot_database(
             path, db.universe, len(db), iter(db),
             num_partitions=num_partitions, partition_rows=partition_rows,
         )
+    view = db.vertical()
     return write_snapshot(
-        path, db.universe, len(db), bitmaps=db.item_bitmaps()
+        path, view.universe, view.num_rows, matrix=view.buffer
     )
 
 
@@ -431,24 +363,19 @@ class SnapshotPartition:
         return self.row_start // 64
 
     @property
-    def matrix_shape(self) -> Tuple[int, int]:
-        return (self.num_items, self.num_words)
-
-    @property
     def matrix_bytes(self) -> int:
         """Resident bytes when this partition's matrix is mapped."""
         return 8 * self.num_items * self.num_words
 
-    def matrix(self, writable: bool = False):
-        """The partition matrix as a ``numpy.memmap`` view (zero-copy)."""
-        if _np is None:  # pragma: no cover - NumPy-less interpreters
-            raise RuntimeError("snapshot memory-mapping requires NumPy")
-        return _np.memmap(
-            self.path,
-            dtype="<u8",
-            mode="r+" if writable else "r",
-            offset=self.matrix_offset,
-            shape=self.matrix_shape,
+    def vertical(self) -> VerticalView:
+        """This partition's vertical view: a read-only map of its bytes.
+
+        Zero-copy — the view's buffer is the file's matrix region, so
+        readers fault in only the pages they touch.
+        """
+        return VerticalView(
+            self.universe, self.num_rows,
+            _map_region(self.path, self.matrix_offset, self.matrix_bytes),
         )
 
     def int_bitmaps(
@@ -460,36 +387,33 @@ class SnapshotPartition:
         partition — the pure-Python half of sub-partition windowed
         counting reads only the window's bytes per item.
         """
-        if word_hi is None:
-            word_hi = self.num_words
-        num_bytes = (word_hi - word_lo) * 8
-        stride = self.num_words * 8
-        bitmaps: Dict[int, int] = {}
-        with open(self.path, "rb") as handle:
-            for row, item in enumerate(self.universe):
-                handle.seek(self.matrix_offset + row * stride + word_lo * 8)
-                bitmaps[item] = int.from_bytes(handle.read(num_bytes), "little")
-        return bitmaps
+        return self.vertical().int_bitmaps(word_lo, word_hi)
 
     def packed_index(self) -> "PackedBitmapIndex":
-        """A :class:`PackedBitmapIndex` over the memory-mapped matrix."""
-        rows = {item: row for row, item in enumerate(self.universe)}
-        return PackedBitmapIndex(self.matrix(), rows, self.num_rows)
+        """A :class:`PackedBitmapIndex` over the mapped matrix (zero-copy)."""
+        return PackedBitmapIndex.from_view(self.vertical())
 
     def index(self, force_python: bool = False):
         """The best available counting index backed by this partition."""
-        if HAVE_NUMPY and not force_python:
-            return self.packed_index()
-        return IntBitmapIndex(self.int_bitmaps(), self.num_rows)
+        return build_index(self.vertical(), force_python=force_python)
+
+
+def _map_region(path: Path, offset: int, length: int):
+    """Bytes ``[offset, offset + length)`` of a file, mapped read-only."""
+    if not length:
+        return b""
+    with open(path, "rb") as handle:
+        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    return memoryview(mapped)[offset : offset + length]
 
 
 class Snapshot:
     """A validated, lazily-materialised snapshot file.
 
     Holds only the header metadata; the matrix is materialised on demand
-    either as a zero-copy :func:`numpy.memmap` view (:meth:`matrix`,
-    :meth:`packed_index`) or as pure-Python int bitmaps
-    (:meth:`int_bitmaps`) on interpreters without NumPy.
+    by :meth:`vertical`, a read-only map of the file that every index
+    (:meth:`index`, :meth:`packed_index`) and :meth:`int_bitmaps` build
+    from, with or without NumPy.
 
     Every snapshot — v1 or v2 — exposes :attr:`partitions`; a v1 file is
     a single partition spanning all rows, so partition-aware consumers
@@ -562,74 +486,47 @@ class Snapshot:
         return self._partition_table[0][3]
 
     @property
-    def matrix_shape(self) -> Tuple[int, int]:
-        return (self.num_items, self.num_words)
-
-    @property
     def matrix_bytes(self) -> int:
         """Size of the dense logical matrix (all partitions), in bytes."""
         return 8 * self.num_items * self.num_words
 
-    def matrix(self, writable: bool = False):
-        """The bitmap matrix as a ``numpy.memmap`` view (zero-copy).
+    def vertical(self) -> VerticalView:
+        """The vertical view of every row.
 
-        Multi-partition snapshots have no contiguous on-disk matrix;
-        use :attr:`partitions` (zero-copy per partition) or
-        :meth:`packed_index` (one documented concatenation copy).
+        Zero-copy (a read-only map of the file) when the snapshot holds
+        one contiguous matrix.  For a multi-partition v2 file the
+        partition matrices are word-aligned column slices of the logical
+        matrix, so their rows are copied side by side into one buffer — a
+        copy of the full matrix, appropriate only for consumers that need
+        the whole index in memory anyway (the in-memory engines, the
+        shared-memory parent).  Budget-respecting consumers use
+        :attr:`partitions` instead.
         """
-        if _np is None:  # pragma: no cover - NumPy-less interpreters
-            raise RuntimeError("snapshot memory-mapping requires NumPy")
-        return _np.memmap(
-            self.path,
-            dtype="<u8",
-            mode="r+" if writable else "r",
-            offset=self.matrix_offset,
-            shape=self.matrix_shape,
-        )
+        if self.num_partitions == 1:
+            return self.partitions[0].vertical()
+        stride = 8 * self.num_words
+        buffer = bytearray(self.num_items * stride)
+        for partition in self.partitions:
+            start = 8 * partition.word_start
+            for _, data in partition.vertical().row_slices():
+                buffer[start : start + len(data)] = data
+                start += stride
+        return VerticalView(self.universe, self.num_rows, buffer)
 
     def int_bitmaps(self) -> Dict[int, int]:
-        """item -> arbitrary-precision int bitmap (pure-Python read).
+        """item -> arbitrary-precision int bitmap, read from the file.
 
-        Partition bitmaps concatenate exactly (boundaries are 64-row
-        aligned), so the result is identical whether the file is v1 or
-        partitioned v2.
+        Identical whether the file is v1 or partitioned v2.
         """
-        combined: Dict[int, int] = dict.fromkeys(self.universe, 0)
-        for partition in self.partitions:
-            local = partition.int_bitmaps()
-            shift = partition.row_start
-            for item, value in local.items():
-                if value:
-                    combined[item] |= value << shift
-        return combined
+        return self.vertical().int_bitmaps()
 
     def packed_index(self) -> "PackedBitmapIndex":
-        """A :class:`PackedBitmapIndex` over the full matrix.
-
-        Zero-copy (a memmap view) for single-partition snapshots.  For a
-        multi-partition v2 file the partition matrices are word-aligned
-        column slices of the logical matrix, so this concatenates them
-        into one resident array — a copy of the full matrix, appropriate
-        only for consumers that need the whole index in memory anyway
-        (the shared-memory parent attach path).  Budget-respecting
-        consumers use :attr:`partitions` instead.
-        """
-        rows = {item: row for row, item in enumerate(self.universe)}
-        if self.num_partitions == 1:
-            return PackedBitmapIndex(self.matrix(), rows, self.num_rows)
-        if _np is None:  # pragma: no cover - NumPy-less interpreters
-            raise RuntimeError("snapshot memory-mapping requires NumPy")
-        matrix = _np.empty((self.num_items, self.num_words), dtype="<u8")
-        for partition in self.partitions:
-            lo = partition.word_start
-            matrix[:, lo : lo + partition.num_words] = partition.matrix()
-        return PackedBitmapIndex(matrix, rows, self.num_rows)
+        """A :class:`PackedBitmapIndex` over the full matrix (see :meth:`vertical`)."""
+        return PackedBitmapIndex.from_view(self.vertical())
 
     def index(self, force_python: bool = False):
         """The best available counting index backed by this snapshot."""
-        if HAVE_NUMPY and not force_python:
-            return self.packed_index()
-        return IntBitmapIndex(self.int_bitmaps(), self.num_rows)
+        return build_index(self.vertical(), force_python=force_python)
 
 
 def _load_partition_table(

@@ -4,8 +4,9 @@ This is the substrate every miner in the library runs on.  A database is a
 bag of transactions, each a set of integer items (paper Section 2.1).  The
 store is *horizontal* (one row per transaction) because that is what the
 levelwise algorithms scan; a *vertical* bitmap view (one bitmap per item,
-bit ``t`` set iff transaction ``t`` contains the item) is built lazily for
-the bitmap counting engine.
+bit ``t`` set iff transaction ``t`` contains the item) is built lazily, in
+one linear pass, for the vertical counting engines
+(:func:`repro.db.vertical.build_vertical`).
 
 Support thresholds: the paper defines support as a *fraction* of the
 transactions.  :meth:`TransactionDatabase.absolute_support` converts a
@@ -20,6 +21,7 @@ from math import ceil
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .._types import Itemset
+from .vertical import VerticalView, build_vertical
 
 
 class TransactionDatabase:
@@ -61,7 +63,9 @@ class TransactionDatabase:
                         "transaction %d contains items outside the universe"
                         % position
                     )
+        self._vertical: Optional[VerticalView] = None
         self._bitmaps: Optional[Dict[int, int]] = None
+        self._item_counts: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------
     # basic shape
@@ -152,31 +156,47 @@ class TransactionDatabase:
     def item_support_counts(self) -> Dict[int, int]:
         """Support count of every universe item (the pass-1 1-D array).
 
-        Items that never occur are reported with count 0.
+        Items that never occur are reported with count 0.  Counted once;
+        every call returns a fresh copy.
         """
-        counts: Dict[int, int] = {item: 0 for item in self._universe}
-        for transaction in self._transactions:
-            for item in transaction:
-                counts[item] += 1
-        return counts
+        if self._item_counts is None:
+            counts: Dict[int, int] = dict.fromkeys(self._universe, 0)
+            for transaction in self._transactions:
+                for item in transaction:
+                    counts[item] += 1
+            self._item_counts = counts
+        return dict(self._item_counts)
 
     # ------------------------------------------------------------------
     # vertical view
     # ------------------------------------------------------------------
 
+    def vertical(self) -> VerticalView:
+        """The packed vertical view, built once in one linear pass and cached.
+
+        Its buffer is the packed matrix the ``packed`` engine counts on
+        and the payload of a ``.snap`` file; see
+        :class:`~repro.db.vertical.VerticalView`.
+        """
+        if self._vertical is None:
+            self._vertical = build_vertical(
+                self._transactions, self._universe, len(self._transactions)
+            )
+        return self._vertical
+
     def item_bitmaps(self) -> Dict[int, int]:
         """Vertical bitmaps: item -> int with bit ``t`` set iff ``t`` has it.
 
-        Built once and cached; arbitrary-precision ints make the AND/popcount
-        combination in the bitmap counter a handful of C-level operations.
+        Derived once from the rows of the vertical view and cached, for
+        the engines that count on ints (``bitmap`` and the no-NumPy
+        rungs); arbitrary-precision ints make their AND/popcount a handful
+        of C-level operations.  A view built only for this is not kept.
         """
         if self._bitmaps is None:
-            bitmaps = {item: 0 for item in self._universe}
-            for position, transaction in enumerate(self._transactions):
-                bit = 1 << position
-                for item in transaction:
-                    bitmaps[item] |= bit
-            self._bitmaps = bitmaps
+            view = self._vertical or build_vertical(
+                self._transactions, self._universe, len(self._transactions)
+            )
+            self._bitmaps = view.int_bitmaps()
         return self._bitmaps
 
     # ------------------------------------------------------------------

@@ -8,7 +8,10 @@ the per-candidate interpreter overhead that dominates the ``bitmap``
 engine at benchmark scale disappears into a handful of C-level array
 operations.
 
-Three pieces cooperate:
+Every index here starts from one :class:`VerticalView`: the packed rows
+that :func:`build_vertical` fills in a single linear pass over the
+transactions (or that a ``.snap`` file already holds).  Each index class
+has one constructor from it, ``from_view``.  Three pieces cooperate on top:
 
 :class:`PrefixIntersector`
     A running-AND memo over a sorted candidate stream.  Candidates emitted
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import operator
 import weakref
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from itertools import chain
 from typing import (
     Callable,
@@ -70,7 +73,9 @@ __all__ = [
     "PackedBitmapIndex",
     "PackedCounter",
     "PrefixIntersector",
+    "VerticalView",
     "build_index",
+    "build_vertical",
     "popcount",
 ]
 
@@ -271,28 +276,171 @@ class LruPrefixCache(Generic[Bitmap]):
 _MISSING = object()
 
 
-def _int_bitmaps(
-    transactions: Sequence[Iterable[int]], universe: Optional[Iterable[int]]
-) -> Dict[int, int]:
-    """item -> arbitrary-precision bitmap over ``transactions``.
+class VerticalView:
+    """The vertical view of a database, in its one packed layout.
 
-    Items outside an explicit ``universe`` are silently dropped, matching
-    the engine contract that out-of-universe candidates have support 0.
+    Item ``universe[r]`` owns bytes ``[r * stride, (r + 1) * stride)`` of
+    ``buffer``, with ``stride = 8 * num_words`` and ``num_words =
+    max(1, ceil(num_rows / 64))``; bit ``t & 7`` of the row's byte
+    ``t >> 3`` is set iff transaction ``t`` contains the item.  Rows are
+    zero-padded to whole 64-bit words, so the buffer *is* the
+    little-endian ``(num_items, num_words)`` uint64 matrix of
+    :class:`PackedBitmapIndex` (NumPy views it without a copy) and the
+    matrix payload of a ``.snap`` file.  Int bitmaps, per-item counts and
+    roaring containers are derived from row slices.
+
+    ``buffer`` is any bytes-like object: the ``bytearray`` filled by
+    :func:`build_vertical`, or a read-only map of a snapshot file.
     """
-    if universe is None:
-        occurring: set = set()
-        for transaction in transactions:
-            occurring.update(transaction)
-        universe = occurring
-    bitmaps: Dict[int, int] = {item: 0 for item in universe}
-    for position, transaction in enumerate(transactions):
-        bit = 1 << position
-        for item in transaction:
-            if item in bitmaps:
-                bitmaps[item] |= bit
-    return bitmaps
+
+    __slots__ = ("universe", "num_rows", "buffer")
+
+    def __init__(self, universe: Iterable[int], num_rows: int, buffer) -> None:
+        self.universe = tuple(universe)
+        self.num_rows = num_rows
+        self.buffer = buffer
+        size = memoryview(buffer).nbytes
+        if size != len(self.universe) * self.stride:
+            raise ValueError(
+                "%d-byte buffer does not hold %d items x %d rows"
+                % (size, len(self.universe), num_rows)
+            )
+
+    @classmethod
+    def from_bitmaps(
+        cls, bitmaps: Dict[int, int], num_rows: int, universe=None
+    ) -> "VerticalView":
+        """Pack ``item -> int bitmap`` (universe: sorted keys by default)."""
+        items = sorted(bitmaps if universe is None else set(universe))
+        stride = 8 * max(1, (num_rows + 63) // 64)
+        buffer = b"".join(
+            bitmaps.get(item, 0).to_bytes(stride, "little") for item in items
+        )
+        return cls(items, num_rows, buffer)
+
+    @property
+    def num_words(self) -> int:
+        return max(1, (self.num_rows + 63) // 64)
+
+    @property
+    def stride(self) -> int:
+        """Bytes per item row."""
+        return 8 * self.num_words
+
+    def rows(self) -> Dict[int, int]:
+        """item -> its row of the packed matrix."""
+        return {item: row for row, item in enumerate(self.universe)}
+
+    def row_slices(self, word_lo: int = 0, word_hi: Optional[int] = None):
+        """``(item, bytes of words [word_lo, word_hi) of its row)``, zero-copy."""
+        data = memoryview(self.buffer)
+        stride = self.stride
+        lo = 8 * word_lo
+        hi = stride if word_hi is None else 8 * word_hi
+        for row, item in enumerate(self.universe):
+            yield item, data[row * stride + lo : row * stride + hi]
+
+    def matrix(self):
+        """The buffer as a ``(num_items, num_words)`` uint64 array (no copy)."""
+        return _np.frombuffer(self.buffer, dtype="<u8").reshape(
+            len(self.universe), self.num_words
+        )
+
+    def int_bitmaps(
+        self, word_lo: int = 0, word_hi: Optional[int] = None
+    ) -> Dict[int, int]:
+        """item -> int bitmap of its words ``[word_lo, word_hi)``."""
+        return {
+            item: int.from_bytes(data, "little")
+            for item, data in self.row_slices(word_lo, word_hi)
+        }
+
+    def item_counts(self) -> Dict[int, int]:
+        """item -> support count (popcount of its row)."""
+        return {
+            item: popcount(int.from_bytes(data, "little"))
+            for item, data in self.row_slices()
+        }
 
 
+def build_vertical(
+    rows: Iterable[Iterable[int]],
+    universe: Optional[Iterable[int]] = None,
+    num_rows: Optional[int] = None,
+) -> VerticalView:
+    """The vertical view of ``rows``, built in one linear pass.
+
+    This is the only code that turns horizontal rows into bitmaps: every
+    index, both snapshot writers and ``item_bitmaps`` start from its
+    result.  Each item occurrence sets one bit of one preallocated
+    ``bytearray`` — no growing ints, no NumPy — so the cost is linear in
+    the number of occurrences.
+
+    ``rows`` is consumed once, in order, and at most ``num_rows`` rows
+    are taken, so a streaming writer can cut one partition at a time
+    from a shared iterator; a shorter stream raises :class:`ValueError`.
+    Without ``num_rows`` or ``universe`` the rows are materialised first
+    to count them or collect the occurring items.  An item outside an
+    explicit ``universe`` raises :class:`ValueError`.
+    """
+    if universe is None or num_rows is None:
+        rows = list(rows)
+        if universe is None:
+            universe = set().union(*rows)
+        if num_rows is None:
+            num_rows = len(rows)
+    items = sorted(set(universe))
+    stride = 8 * max(1, (num_rows + 63) // 64)
+    view = VerticalView(items, num_rows, bytearray(len(items) * stride))
+    buffer = view.buffer
+    base = {item: row * stride for row, item in enumerate(items)}
+    position = -1
+    try:
+        for position, row in zip(range(num_rows), rows):
+            byte = position >> 3
+            bit = 1 << (position & 7)
+            for item in row:
+                buffer[base[item] + byte] |= bit
+    except KeyError as error:
+        raise ValueError(
+            "transaction %d contains item %r outside the universe"
+            % (position, error.args[0])
+        ) from None
+    if position + 1 < num_rows:
+        raise ValueError(
+            "transaction stream ended %d rows short of num_rows"
+            % (num_rows - position - 1)
+        )
+    return view
+
+
+def view_constructors(cls):
+    """Give an index class with ``from_view`` its three shortcut constructors.
+
+    ``from_transactions(rows, universe=None)`` builds the view with
+    :func:`build_vertical`, ``from_database(db)`` takes the database's
+    cached ``db.vertical()`` and ``from_bitmaps(bitmaps, num_rows)``
+    packs int bitmaps; all three hand the view to ``from_view``.  They
+    are set on each class itself because ``perfbench/tracer.py`` patches
+    them there by name.
+    """
+    cls.from_transactions = classmethod(
+        lambda owner, transactions, universe=None: owner.from_view(
+            build_vertical(transactions, universe)
+        )
+    )
+    cls.from_database = classmethod(
+        lambda owner, db: owner.from_view(db.vertical())
+    )
+    cls.from_bitmaps = classmethod(
+        lambda owner, bitmaps, num_rows: owner.from_view(
+            VerticalView.from_bitmaps(bitmaps, num_rows)
+        )
+    )
+    return cls
+
+
+@view_constructors
 class PackedBitmapIndex:
     """Vertical bitmaps packed as a ``(num_items, num_words)`` uint64 matrix.
 
@@ -379,38 +527,9 @@ class PackedBitmapIndex:
         return int(self._matrix.shape[1])
 
     @classmethod
-    def from_bitmaps(
-        cls, bitmaps: Dict[int, int], num_rows: int
-    ) -> "PackedBitmapIndex":
-        """Pack ``item -> int bitmap`` (the lazy vertical view) into a matrix."""
-        num_words = max(1, (num_rows + 63) // 64)
-        matrix = _np.zeros((len(bitmaps), num_words), dtype=_np.uint64)
-        rows: Dict[int, int] = {}
-        num_bytes = num_words * 8
-        for row, item in enumerate(sorted(bitmaps)):
-            rows[item] = row
-            value = bitmaps[item]
-            if value:
-                matrix[row] = _np.frombuffer(
-                    value.to_bytes(num_bytes, "little"), dtype="<u8"
-                )
-        return cls(matrix, rows, num_rows)
-
-    @classmethod
-    def from_transactions(
-        cls,
-        transactions: Sequence[Iterable[int]],
-        universe: Optional[Iterable[int]] = None,
-    ) -> "PackedBitmapIndex":
-        transactions = list(transactions)
-        return cls.from_bitmaps(
-            _int_bitmaps(transactions, universe), len(transactions)
-        )
-
-    @classmethod
-    def from_database(cls, db) -> "PackedBitmapIndex":
-        """Build from a database, reusing its cached ``item_bitmaps``."""
-        return cls.from_bitmaps(dict(db.item_bitmaps()), len(db))
+    def from_view(cls, view: VerticalView) -> "PackedBitmapIndex":
+        """The index over a vertical view; its matrix *is* the view's buffer."""
+        return cls(view.matrix(), view.rows(), view.num_rows)
 
     # ------------------------------------------------------------------
 
@@ -685,6 +804,7 @@ class PackedBitmapIndex:
         return results
 
 
+@view_constructors
 class IntBitmapIndex:
     """Pure-Python twin of :class:`PackedBitmapIndex`.
 
@@ -706,23 +826,8 @@ class IntBitmapIndex:
         return self._num_rows
 
     @classmethod
-    def from_bitmaps(
-        cls, bitmaps: Dict[int, int], num_rows: int
-    ) -> "IntBitmapIndex":
-        return cls(dict(bitmaps), num_rows)
-
-    @classmethod
-    def from_transactions(
-        cls,
-        transactions: Sequence[Iterable[int]],
-        universe: Optional[Iterable[int]] = None,
-    ) -> "IntBitmapIndex":
-        transactions = list(transactions)
-        return cls(_int_bitmaps(transactions, universe), len(transactions))
-
-    @classmethod
-    def from_database(cls, db) -> "IntBitmapIndex":
-        return cls.from_bitmaps(dict(db.item_bitmaps()), len(db))
+    def from_view(cls, view: VerticalView) -> "IntBitmapIndex":
+        return cls(view.int_bitmaps(), view.num_rows)
 
     def counts(
         self,
@@ -760,14 +865,19 @@ class IntBitmapIndex:
 
 
 def build_index(
-    transactions: Sequence[Iterable[int]],
+    source,
     universe: Optional[Iterable[int]] = None,
     force_python: bool = False,
 ):
-    """The best available shard index for ``transactions``."""
+    """The best available index over rows or a :class:`VerticalView`."""
+    view = (
+        source
+        if isinstance(source, VerticalView)
+        else build_vertical(source, universe)
+    )
     if HAVE_NUMPY and not force_python:
-        return PackedBitmapIndex.from_transactions(transactions, universe)
-    return IntBitmapIndex.from_transactions(transactions, universe)
+        return PackedBitmapIndex.from_view(view)
+    return IntBitmapIndex.from_view(view)
 
 
 class PackedCounter(SupportCounter):
@@ -800,10 +910,9 @@ class PackedCounter(SupportCounter):
             or self._index_db is None
             or self._index_db() is not db
         ):
-            if self._force_python or not HAVE_NUMPY:
-                self._index = IntBitmapIndex.from_database(db)
-            else:
-                self._index = PackedBitmapIndex.from_database(db)
+            self._index = build_index(
+                db.vertical(), force_python=self._force_python
+            )
             self._index_db = weakref.ref(db)
         return self._index
 

@@ -6,8 +6,6 @@ import pytest
 
 from repro.db.counting import (
     available_engines,
-    count_pairs,
-    count_singletons,
     get_counter,
 )
 from repro.db.transaction_db import TransactionDatabase
@@ -108,28 +106,6 @@ class TestFactory:
         engines = available_engines()
         assert engines == sorted(engines)
         assert {"naive", "bitmap", "hashtree", "trie"} <= set(engines)
-
-
-class TestArrayFastPaths:
-    def test_count_singletons_includes_zero_support_items(self):
-        counts = count_singletons(small_db())
-        assert counts[(5,)] == 0
-        assert counts[(2,)] == 4
-        assert len(counts) == 5
-
-    def test_count_pairs_over_frequent_items(self):
-        counts = count_pairs(small_db(), [1, 2, 3])
-        assert counts[(1, 2)] == 3
-        assert counts[(2, 3)] == 3
-        assert counts[(1, 3)] == 2
-
-    def test_count_pairs_reports_zero_cooccurrence(self):
-        db = TransactionDatabase([[1], [2]])
-        assert count_pairs(db, [1, 2]) == {(1, 2): 0}
-
-    def test_count_pairs_ignores_other_items(self):
-        counts = count_pairs(small_db(), [1, 4])
-        assert counts == {(1, 4): 1}
 
 
 class TestBitmapPrefixCache:

@@ -15,9 +15,12 @@ from repro.core.kernel import BitmaskKernel, TupleKernel
 from repro.core.pincer import PincerSearch, pincer_search
 from repro.core.session import MiningSession, SessionClosedError
 from repro.core.supportcache import CachedSupportCounter, SupportCache
+from repro.db import io
 from repro.db.base import EngineClosedError, SupportCounter
 from repro.db.counting import get_counter
+from repro.db.disk import DiskTransactionDatabase
 from repro.db.parallel import AdaptiveShardScheduler
+from repro.db.snapshot import default_snapshot_path
 from repro.db.transaction_db import TransactionDatabase
 from repro.obs import capture
 
@@ -315,3 +318,29 @@ class TestWarmStartRandomized:
         cold = pincer_search(db, 0.06)
         seeded = pincer_search(db, 0.06, initial_mfcs=sorted(low.mfs))
         assert sorted(seeded.mfs) == sorted(cold.mfs)
+
+
+class TestSnapshotBackedSession:
+    """A session opened on a snapshot never parses the basket file."""
+
+    def test_auto_open_reads_no_baskets(self, tmp_path):
+        # >= 4096 sparse rows, so ``auto`` measures density (roaring)
+        rng = random.Random(5)
+        db = TransactionDatabase(
+            [rng.sample(range(200), rng.randint(1, 4)) for _ in range(4200)]
+        )
+        basket = tmp_path / "db.dat"
+        io.save(db, basket)
+        DiskTransactionDatabase(basket).snapshot()
+        snap_db = DiskTransactionDatabase.from_snapshot(
+            default_snapshot_path(basket)
+        )
+        with MiningSession(snap_db, engine="auto") as session:
+            assert snap_db.records_streamed == 0
+            with MiningSession(
+                DiskTransactionDatabase(basket), engine="auto"
+            ) as from_baskets:
+                assert session.decision == from_baskets.decision
+            result = session.mine(0.01)
+        assert snap_db.records_streamed == 0
+        assert sorted(result.mfs) == sorted(pincer_search(db, 0.01).mfs)

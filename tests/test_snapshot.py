@@ -188,14 +188,6 @@ class TestPartitionedFormat:
         v2 = load_snapshot(v2_path).packed_index()
         assert v2._matrix.tobytes() == v1._matrix.tobytes()
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs NumPy")
-    def test_python_writer_is_byte_identical(self, v2_path, tmp_path):
-        other = write_partitioned_snapshot(
-            tmp_path / "py.v2.snap", DB.universe, len(DB), iter(DB),
-            partition_rows=64, force_python=True,
-        )
-        assert other.read_bytes() == v2_path.read_bytes()
-
     def test_snapshot_database_partition_kwargs(self, tmp_path):
         path = snapshot_database(DB, tmp_path / "p.snap", num_partitions=2)
         snap = load_snapshot(path)

@@ -4,20 +4,27 @@ import time
 
 import pytest
 
+from repro.db import io
 from repro.db.counting import CountingDeadline, get_counter
+from repro.db.disk import DiskTransactionDatabase
+from repro.db.roaring import ChunkedIntIndex, RoaringIndex
+from repro.db.snapshot import (
+    load_snapshot,
+    snapshot_database,
+    write_partitioned_snapshot,
+)
 from repro.db.transaction_db import TransactionDatabase
 from repro.db.vertical import (
     HAVE_NUMPY,
     IntBitmapIndex,
     LruPrefixCache,
+    PackedBitmapIndex,
     PackedCounter,
     PrefixIntersector,
     build_index,
+    build_vertical,
     popcount,
 )
-
-if HAVE_NUMPY:
-    from repro.db.vertical import PackedBitmapIndex
 
 TRANSACTIONS = [[1, 2, 3], [1, 2], [2, 3], [3], []]
 GROUND_TRUTH = {
@@ -73,19 +80,6 @@ class TestPackedIndex:
         candidates = list(GROUND_TRUTH)
         assert packed.counts(candidates) == plain.counts(candidates)
 
-    def test_word_boundaries(self):
-        # 64/65 rows straddle the packing word boundary
-        for rows in (1, 63, 64, 65, 130):
-            transactions = [[1] if t % 2 == 0 else [2] for t in range(rows)]
-            index = PackedBitmapIndex.from_transactions(transactions)
-            assert index.num_words == max(1, (rows + 63) // 64)
-            assert index.counts([(1,), (2,), (1, 2), ()]) == [
-                (rows + 1) // 2,
-                rows // 2,
-                0,
-                rows,
-            ]
-
     def test_from_database_reuses_item_bitmaps(self):
         db = TransactionDatabase(TRANSACTIONS)
         index = PackedBitmapIndex.from_database(db)
@@ -124,6 +118,123 @@ class TestPackedIndex:
         index = PackedBitmapIndex.from_transactions([[1, huge], [huge]])
         assert index._row_table is None
         assert index.counts([(1,), (huge,), (1, huge)]) == [1, 2, 1]
+
+
+HUGE = PackedBitmapIndex.MAX_TABLE_ITEM + 5
+
+#: name -> (rows, explicit universe or None).  64/65 rows straddle the
+#: packing word boundary; 130 rows span three words.
+BUILDER_CASES = {
+    "rows-0": ([], None),
+    "empty-baskets": ([[], [1, 2], [], [2]], None),
+    **{
+        "rows-%d" % n: (
+            [[t % 3, 3 + t % 5] if t % 7 else [] for t in range(n)], None
+        )
+        for n in (1, 63, 64, 65, 130)
+    },
+    "zero-support-universe": ([[1, 4], [4], []], [0, 1, 2, 4, 9]),
+    "huge-ids": ([[1, HUGE], [HUGE], [HUGE + 1, 2]], None),
+}
+
+
+def reference_bitmaps(rows, universe):
+    """Brute force: bit ``t`` of item ``i`` iff ``i in rows[t]``."""
+    if universe is None:
+        universe = {item for row in rows for item in row}
+    return {
+        item: sum(1 << t for t, row in enumerate(rows) if item in row)
+        for item in sorted(universe)
+    }
+
+
+def on_disk(tmp_path, rows, universe):
+    # blank lines are skipped by the basket format and a basket file
+    # cannot name zero-support items, so the disk database sees the
+    # non-empty rows over the occurring items
+    stored = [row for row in rows if row]
+    path = tmp_path / "db.dat"
+    io.save(TransactionDatabase(stored), path)
+    return DiskTransactionDatabase(path).vertical(), stored, None
+
+
+def snapshot_backed(tmp_path, rows, universe, **partitions):
+    path = snapshot_database(
+        TransactionDatabase(rows, universe), tmp_path / "db.snap", **partitions
+    )
+    db = DiskTransactionDatabase(tmp_path / "absent.dat", snapshot=path)
+    return db.vertical(), rows, universe
+
+
+def v2_writer(tmp_path, rows, universe):
+    items = universe if universe is not None else {i for row in rows for i in row}
+    path = write_partitioned_snapshot(
+        tmp_path / "db.snap", items, len(rows), iter(rows), partition_rows=64
+    )
+    return load_snapshot(path).vertical(), rows, universe
+
+
+#: consumer -> (tmp_path, rows, universe) -> (view, rows it saw, universe)
+VIEW_CONSUMERS = {
+    "memory": lambda tmp, rows, universe: (
+        TransactionDatabase(rows, universe).vertical(), rows, universe
+    ),
+    "disk": on_disk,
+    "snapshot-v1": snapshot_backed,
+    "snapshot-v2": lambda tmp, rows, universe: snapshot_backed(
+        tmp, rows, universe, partition_rows=64
+    ),
+    "v2-writer": v2_writer,
+}
+
+INDEX_CLASSES = {
+    "packed": PackedBitmapIndex,
+    "int": IntBitmapIndex,
+    "roaring": RoaringIndex,
+    "chunked": ChunkedIntIndex,
+}
+
+
+@pytest.mark.parametrize("case", BUILDER_CASES)
+@pytest.mark.parametrize("consumer", sorted(VIEW_CONSUMERS) + sorted(INDEX_CLASSES))
+def test_vertical_view_matches_reference(consumer, case, tmp_path):
+    """Every consumer of the builder agrees with per-row membership."""
+    rows, universe = BUILDER_CASES[case]
+    if consumer in INDEX_CLASSES:
+        if consumer in ("packed", "roaring") and not HAVE_NUMPY:
+            pytest.skip("requires NumPy")
+        index = INDEX_CLASSES[consumer].from_view(build_vertical(rows, universe))
+        items = sorted(reference_bitmaps(rows, universe)) + [-1]  # -1: unknown
+        candidates = [()] + [(a,) for a in items] + [
+            (a, b) for a in items for b in items if a < b
+        ]
+        want = [sum(1 for row in rows if set(c) <= set(row)) for c in candidates]
+        assert index.num_rows == len(rows)
+        assert index.counts(candidates) == want
+        return
+    view, seen, universe = VIEW_CONSUMERS[consumer](tmp_path, rows, universe)
+    expected = reference_bitmaps(seen, universe)
+    stride = 8 * max(1, (len(seen) + 63) // 64)
+    assert view.universe == tuple(expected)
+    assert view.num_rows == len(seen)
+    assert view.int_bitmaps() == expected
+    assert bytes(view.buffer) == b"".join(
+        value.to_bytes(stride, "little") for value in expected.values()
+    )
+    assert view.item_counts() == {
+        item: popcount(value) for item, value in expected.items()
+    }
+    if HAVE_NUMPY:
+        assert view.matrix().tobytes() == bytes(view.buffer)
+
+
+def test_item_outside_the_universe_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="outside the universe"):
+        build_vertical([[1], [1, 5]], universe=[1, 2])
+    with pytest.raises(ValueError, match="outside the universe"):
+        write_partitioned_snapshot(
+            tmp_path / "bad.snap", [1, 2], 2, iter([[1], [1, 5]])
+        )
 
 
 class TestPrefixIntersector:
