@@ -10,7 +10,7 @@ mechanism:
 * **adaptive vs pure** — what the Section 3.5 adaptivity buys on a
   scattered database (where the pure MFCS maintenance is the known
   pathology), and what it costs on a concentrated one.
-* **counting engines** — naive scan vs hash tree vs trie vs vertical
+* **counting engines** — naive scan vs hash tree vs vertical
   bitmaps, same algorithm, same answers.
 * **prune-uncovered extension** — the beyond-the-paper candidate filter
   (drop candidates not covered by MFS ∪ MFCS): candidate counts may only

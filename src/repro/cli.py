@@ -170,15 +170,15 @@ def _add_mine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", default="auto",
         choices=("auto",) + tuple(available_engines()),
-        help="support-counting engine (auto resolves from measured "
-        "density: roaring for large sparse databases, packed for large "
-        "dense ones when NumPy is available, else bitmap)",
+        help="support-counting engine (auto: packed when NumPy is "
+        "available and the database has at least 512 rows, else bitmap)",
     )
     parser.add_argument(
         "--kernel", default="auto",
         choices=("auto",) + KERNEL_NAMES,
         help="lattice kernel for candidate generation and MFS/MFCS "
-        "pruning (auto: REPRO_LATTICE_KERNEL or bitmask)",
+        "pruning (auto: bitmask; --kernel tuple selects the reference "
+        "kernel)",
     )
     parser.add_argument(
         "--snapshot", default=None, metavar="PATH",

@@ -1,33 +1,29 @@
 """Compressed storage for families of interned itemset masks.
 
-:class:`~repro.core.cover.MaskCover` keeps one dict entry per family
-member (mask -> slot).  The masks themselves are interned in the
-:class:`~repro.core.bitset.ItemUniverse`, so the *dict* is the marginal
-memory cost of family membership: ~100 bytes per entry of hash-table
-machinery for members that are a few set bits apart.  On the big MFCS
-frontiers of low-support runs that dominates the miner's footprint.
+A dict keyed by interned itemset masks costs ~100 bytes per entry of
+hash-table machinery, even for members that are a few set bits apart.
+The old generation of :class:`~repro.core.supportcache.SupportCache`
+holds such a mapping (mask -> support) for a whole resident session.
 
-:class:`CompressedMaskStore` is a drop-in replacement for that dict
-implementing the subset of the mapping protocol MaskCover uses
-(``in`` / ``[] =`` / ``get`` / ``pop`` / ``len`` / iteration).  Members
+:class:`CompressedMaskStore` replaces that dict, implementing a subset
+of the mapping protocol (``in`` / ``[] =`` / ``get`` / ``pop`` /
+``len`` / iteration).  Members
 are held *sorted by mask* in blocks of :data:`BLOCK` entries; each block
 stores its first mask verbatim and every later mask as a LEB128 varint
 of the delta to its predecessor.  Sorted neighbours share their high
 bits — lattice families are exactly wildcard-clustered this way (the
 ALLSAT view: a family of maximal sets is many low-bit variations under
 few high-bit prefixes) — and shared high bits *cancel in the delta*, so
-a member typically costs a few bytes instead of a hundred.  Slot
-payloads ride in a parallel per-block list.
+a member typically costs a few bytes instead of a hundred.  Values
+ride in a parallel per-block list.
 
 Lookups bisect the block heads, then decode one block sequentially
 (:data:`BLOCK` varint adds — cheap, cache-resident).  Mutations re-encode
-one block, splitting when it doubles; MFCS-gen's discard-element /
-add-replacements churn therefore costs O(BLOCK) bytes of re-encoding per
-update, never a rehash of the whole family.
+one block, splitting when it doubles, so an update costs O(BLOCK)
+bytes of re-encoding, never a rehash of the whole family.
 
-Iteration order is ascending mask order, not insertion order —
-MaskCover's membership semantics don't depend on order, but callers
-comparing ``members`` lists positionally should sort first.
+Iteration order is ascending mask order, not insertion order; callers
+comparing key lists positionally should sort first.
 """
 
 from __future__ import annotations
@@ -99,7 +95,7 @@ class _Block:
 
 
 class CompressedMaskStore:
-    """Sorted-mask delta-compressed ``mask -> slot`` mapping."""
+    """Sorted-mask delta-compressed ``mask -> int`` mapping."""
 
     def __init__(self) -> None:
         self._blocks: List[_Block] = []
@@ -108,7 +104,7 @@ class CompressedMaskStore:
 
     @classmethod
     def from_dict(cls, mapping: Dict[int, int]) -> "CompressedMaskStore":
-        """Bulk-build from a mask -> slot dict in one encode sweep.
+        """Bulk-build from a mask -> int dict in one encode sweep.
 
         O(n log n) for the sort plus one varint encode per entry —
         unlike repeated ``[] =``, which re-encodes a whole block per
@@ -127,7 +123,7 @@ class CompressedMaskStore:
         return store
 
     # ------------------------------------------------------------------
-    # mapping protocol (the subset MaskCover uses)
+    # mapping protocol (a subset of dict)
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:

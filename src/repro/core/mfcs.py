@@ -48,8 +48,8 @@ def _mask_prober(cover: object, universe: object):
     """A ``mask -> bool`` cover probe for any cover structure.
 
     Mask-native covers of the same universe answer directly; anything else
-    (a CoverIndex, a SetTrie, a MaskCover holding foreign members or built
-    on another universe) is probed through the decoded tuple.
+    (a CoverIndex, a MaskCover holding foreign members or built on another
+    universe) is probed through the decoded tuple.
     """
     if (
         isinstance(cover, MaskCover)
@@ -591,8 +591,9 @@ class MFCS:
         """True if ``candidate`` is a subset of some element.
 
         Routed through the index the constructing kernel chose: with the
-        bitmask kernel this is a guard-masked trie descent, sub-linear in
-        the element count, not a rescan of every element.
+        bitmask kernel this is an early-exit AND over the
+        :class:`~repro.core.cover.MaskCover` per-item slot bitmaps, not a
+        rescan of every element.
         """
         return self._index.covers(candidate)
 

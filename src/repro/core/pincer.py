@@ -96,8 +96,8 @@ class PincerSearch:
         counts.  Off by default for paper fidelity.
     kernel:
         Lattice-kernel name (see :mod:`repro.core.kernel`): ``"bitmask"``
-        (interned masks, the default), ``"tuple"`` (the seed fallback), or
-        ``"auto"``/None to honour ``REPRO_LATTICE_KERNEL``.  Both kernels
+        (interned masks, the default, also what ``"auto"``/None picks) or
+        ``"tuple"`` (the seed fallback, only by name).  Both kernels
         produce identical results; the differential tests rely on it.
     """
 

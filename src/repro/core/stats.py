@@ -77,9 +77,9 @@ class MiningStats:
     records_read: int = 0
     #: resolved counting engine name ("" when unknown / caller-supplied)
     engine: str = ""
-    #: why that engine was picked: the measured density evidence from
-    #: :func:`repro.db.counting.engine_decision` (rows / items / nnz /
-    #: density / reason), JSON-ready
+    #: why that engine was picked: the evidence from
+    #: :func:`repro.db.counting.engine_decision` (rows / reason), or the
+    #: budget accounting of the partitioned plane, JSON-ready
     engine_evidence: Dict[str, Any] = field(default_factory=dict)
     #: RNG seed of the sample draw for sample-based miners (Toivonen
     #: sampling, sample-seeded partitioned mining); None when the run

@@ -9,11 +9,9 @@ from .counting import (
     ShardedCounter,
     ShmShardedCounter,
     SupportCounter,
-    TrieCounter,
     available_engines,
     engine_decision,
     get_counter,
-    select_engine,
 )
 from .disk import DiskTransactionDatabase
 from .snapshot import (
@@ -26,9 +24,8 @@ from .snapshot import (
 )
 from .hash_tree import HashTree
 from .io import load, load_basket, load_csv, load_json, save, save_basket, save_csv, save_json
-from .roaring import ChunkedIntIndex, RoaringCounter, RoaringIndex, measure_density
+from .roaring import ChunkedIntIndex, RoaringCounter, RoaringIndex
 from .transaction_db import TransactionDatabase
-from .trie import CandidateTrie
 from .vertical import (
     HAVE_NUMPY,
     IntBitmapIndex,
@@ -38,7 +35,6 @@ from .vertical import (
 
 __all__ = [
     "BitmapCounter",
-    "CandidateTrie",
     "ChunkedIntIndex",
     "DiskTransactionDatabase",
     "EngineDecision",
@@ -58,7 +54,6 @@ __all__ = [
     "SnapshotFormatError",
     "SupportCounter",
     "TransactionDatabase",
-    "TrieCounter",
     "available_engines",
     "default_snapshot_path",
     "load_snapshot",
@@ -66,8 +61,6 @@ __all__ = [
     "write_snapshot",
     "engine_decision",
     "get_counter",
-    "measure_density",
-    "select_engine",
     "load",
     "load_basket",
     "load_csv",

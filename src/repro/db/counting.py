@@ -18,9 +18,6 @@ Engines provided:
 ``hashtree``
     The classic Agrawal–Srikant hash tree (:mod:`repro.db.hash_tree`), one
     tree per candidate length.
-``trie``
-    An item-prefix trie holding all candidate lengths at once
-    (:mod:`repro.db.trie`).
 ``bitmap``
     Vertical bitmaps: support is the popcount of the AND of the item
     bitmaps, with candidates sharing prefix intersections through a
@@ -30,15 +27,17 @@ Engines provided:
     Vertical bitmaps packed into ``uint64`` NumPy words; whole candidate
     batches are counted with vectorized AND + popcount
     (:mod:`repro.db.vertical`).  Falls back to pure Python when NumPy is
-    absent.  The fastest engine, and what ``auto`` resolves to on large
-    databases when NumPy is installed.
+    absent.  The fastest engine, and what ``auto`` resolves to on every
+    database of :data:`AUTO_PACKED_MIN_ROWS` rows or more when NumPy is
+    installed.
 ``roaring``
     The compressed tier (:mod:`repro.db.roaring`): per-item hybrid
     containers (sorted-array / packed-bitmap / run) in 2^16-row chunks,
     with container-level fused intersect+popcount that skips absent
-    chunks.  Wins on sparse skewed data; resolves itself down the
-    roaring → packed → bitmap → python ladder when the data is dense or
-    NumPy is missing, always byte-identically.
+    chunks.  Chosen only by name: it wins on large sparse skewed data
+    (a 1M-row Zipf cell) but not on the paper's Quest databases.  It
+    resolves itself down the roaring → packed → bitmap → python ladder
+    when the data is dense or NumPy is missing, always byte-identically.
 ``sharded``
     Row shards counted in parallel worker processes and summed
     (:mod:`repro.db.parallel`); each worker holds a persistent
@@ -74,10 +73,9 @@ from .base import SupportCounter
 from .hash_tree import HashTree
 from .outofcore import PartitionedCounter
 from .parallel import ShardedCounter
-from .roaring import RoaringCounter, measure_density
+from .roaring import RoaringCounter
 from .shm import ShmShardedCounter
 from .transaction_db import TransactionDatabase
-from .trie import CandidateTrie
 from .vertical import (
     HAVE_NUMPY,
     LruPrefixCache,
@@ -87,8 +85,6 @@ from .vertical import (
 
 __all__ = [
     "AUTO_PACKED_MIN_ROWS",
-    "AUTO_ROARING_MAX_DENSITY",
-    "AUTO_ROARING_MIN_ROWS",
     "BitmapCounter",
     "CountingDeadline",
     "DEFAULT_ENGINE",
@@ -101,12 +97,10 @@ __all__ = [
     "ShardedCounter",
     "ShmShardedCounter",
     "SupportCounter",
-    "TrieCounter",
     "available_engines",
     "engine_decision",
     "get_counter",
     "resolve_counter",
-    "select_engine",
 ]
 
 
@@ -160,20 +154,6 @@ class HashTreeCounter(SupportCounter):
         if () in counts:
             counts[()] = len(db)
         return counts
-
-
-class TrieCounter(SupportCounter):
-    """Prefix-trie engine; naturally handles mixed candidate lengths."""
-
-    name = "trie"
-
-    def _count(
-        self, db: TransactionDatabase, candidates: List[Itemset]
-    ) -> Dict[Itemset, int]:
-        trie = CandidateTrie(candidates)
-        return trie.counts_by_itemset(
-            db.transactions, deadline_check=self._check_deadline
-        )
 
 
 class BitmapCounter(SupportCounter):
@@ -261,7 +241,6 @@ class BitmapCounter(SupportCounter):
 _ENGINES = {
     "naive": NaiveCounter,
     "hashtree": HashTreeCounter,
-    "trie": TrieCounter,
     "bitmap": BitmapCounter,
     "packed": PackedCounter,
     "roaring": RoaringCounter,
@@ -277,28 +256,16 @@ DEFAULT_ENGINE = "bitmap"
 #: counting itself and plain int bitmaps win.
 AUTO_PACKED_MIN_ROWS = 512
 
-#: ``auto`` upgrades ``packed`` to ``roaring`` only at or above this many
-#: transactions: compression pays through skipped words, and below ~4k
-#: rows the flat matrix fits in cache no matter how sparse the columns.
-AUTO_ROARING_MIN_ROWS = 4096
-
-#: ...and only when mean column density is at or below this.  Denser
-#: data builds mostly bitmap containers, where the flat packed matrix
-#: with its vectorized batch kernel is the better representation (the
-#: roaring engine itself would pick its packed rung anyway).
-AUTO_ROARING_MAX_DENSITY = 0.05
-
 
 @dataclass
 class EngineDecision:
-    """An engine choice plus the measured evidence that produced it.
+    """An engine choice plus the evidence that produced it.
 
     ``engine`` is what :func:`get_counter` should instantiate; ``evidence``
     is a JSON-ready dict recorded into ``MiningStats.engine_evidence`` so
-    traces show *why* a tier was picked, not just which.  For ``auto`` the
-    evidence carries the density measurement (rows / items / nnz /
-    density) and a human-readable ``reason``; explicit engine names pass
-    through with ``reason: "explicit"`` and no measurement cost.
+    traces show *why* an engine was picked, not just which.  For ``auto``
+    the evidence is the row count and a human-readable ``reason``;
+    explicit engine names pass through with ``reason: "explicit"``.
     """
 
     engine: str
@@ -308,48 +275,29 @@ class EngineDecision:
 def engine_decision(db, name: Optional[str] = None) -> EngineDecision:
     """Resolve an engine name against a concrete db, keeping the evidence.
 
-    The ``auto`` policy, in order:
+    ``auto`` is one rule that reads nothing but the row count: ``packed``
+    when NumPy is importable and the database has at least
+    :data:`AUTO_PACKED_MIN_ROWS` rows, otherwise :data:`DEFAULT_ENGINE`
+    (plain int bitmaps; batch setup costs would rival the counting).
+    Explicit names pass through unchanged (and unvalidated —
+    :func:`get_counter` raises on unknown names).
 
-    1. no NumPy or a small database -> :data:`DEFAULT_ENGINE` (plain int
-       bitmaps; batch setup costs would rival the counting);
-    2. sparse and large (density <= :data:`AUTO_ROARING_MAX_DENSITY`,
-       rows >= :data:`AUTO_ROARING_MIN_ROWS`) -> ``roaring``;
-    3. otherwise -> ``packed``.
+    >>> engine_decision(None, "roaring").engine
+    'roaring'
     """
     if name is not None and name != "auto":
         return EngineDecision(name, {"reason": "explicit"})
     if db is None:
         return EngineDecision(DEFAULT_ENGINE, {"reason": "no database"})
-    if not HAVE_NUMPY or len(db) < AUTO_PACKED_MIN_ROWS:
-        return EngineDecision(
-            DEFAULT_ENGINE,
-            {
-                "rows": len(db),
-                "reason": (
-                    "numpy unavailable"
-                    if not HAVE_NUMPY
-                    else "below packed row threshold (%d)"
-                    % AUTO_PACKED_MIN_ROWS
-                ),
-            },
-        )
-    evidence = measure_density(db)
-    if (
-        evidence["rows"] >= AUTO_ROARING_MIN_ROWS
-        and evidence["density"] <= AUTO_ROARING_MAX_DENSITY
-    ):
-        evidence["reason"] = "sparse (density %.4f <= %.2f)" % (
-            evidence["density"],
-            AUTO_ROARING_MAX_DENSITY,
-        )
-        return EngineDecision("roaring", evidence)
-    evidence["reason"] = (
-        "dense (density %.4f > %.2f)"
-        % (evidence["density"], AUTO_ROARING_MAX_DENSITY)
-        if evidence["rows"] >= AUTO_ROARING_MIN_ROWS
-        else "below roaring row threshold (%d)" % AUTO_ROARING_MIN_ROWS
-    )
-    return EngineDecision("packed", evidence)
+    rows = len(db)
+    engine = DEFAULT_ENGINE
+    if not HAVE_NUMPY:
+        reason = "numpy unavailable"
+    elif rows < AUTO_PACKED_MIN_ROWS:
+        reason = "below packed row threshold (%d)" % AUTO_PACKED_MIN_ROWS
+    else:
+        engine, reason = "packed", "numpy available"
+    return EngineDecision(engine, {"rows": rows, "reason": reason})
 
 
 def get_counter(name: Optional[str] = None) -> SupportCounter:
@@ -370,19 +318,6 @@ def get_counter(name: Optional[str] = None) -> SupportCounter:
             % (name, ", ".join(sorted(_ENGINES)))
         ) from None
     return engine()
-
-
-def select_engine(db, name: Optional[str] = None) -> str:
-    """Resolve an engine name (possibly ``auto``) against a concrete db.
-
-    The name-only view of :func:`engine_decision` — ``auto`` picks
-    ``roaring`` for large sparse databases, ``packed`` for large dense
-    ones (NumPy permitting), else :data:`DEFAULT_ENGINE`.  Explicit names
-    pass through unchanged (and unvalidated — :func:`get_counter` raises
-    on unknown names).  Callers that want the density evidence behind the
-    choice should use :func:`engine_decision` directly.
-    """
-    return engine_decision(db, name).engine
 
 
 def resolve_counter(db, name, counter):

@@ -87,7 +87,6 @@ __all__ = [
     "RoaringCounter",
     "RoaringIndex",
     "TIER_LADDER",
-    "measure_density",
 ]
 
 #: Rows per chunk — the roaring convention: the low 16 bits of a row id
@@ -110,45 +109,6 @@ DENSE_CUTOFF = 0.10
 #: Item-steps between deadline checks in the container walk (matches the
 #: work-budget cadence of the packed path).
 _DEADLINE_WORK = 4096
-
-
-def measure_density(db) -> Dict[str, float]:
-    """Cheap density evidence for a database: one pass over the counts.
-
-    Returns a JSON-ready dict with the structural facts the tier choice
-    (and :func:`repro.db.counting.engine_decision`) keys on:
-
-    ``rows``/``items``/``nnz``
-        shape and total set bits of the vertical view;
-    ``density``
-        mean column density ``nnz / (rows * items)``;
-    ``max_item_density``
-        density of the most frequent item (skew witness);
-    ``sparse_item_fraction``
-        fraction of items that would build array containers
-        (support <= ARRAY_MAX per chunk on average).
-    """
-    rows = len(db)
-    counts = db.item_support_counts()
-    items = len(counts)
-    nnz = sum(counts.values())
-    cells = rows * items
-    chunks = max(1, (rows + CHUNK_SIZE - 1) // CHUNK_SIZE)
-    sparse_cut = ARRAY_MAX * chunks
-    return {
-        "rows": rows,
-        "items": items,
-        "nnz": nnz,
-        "density": (nnz / cells) if cells else 0.0,
-        "max_item_density": (
-            max(counts.values()) / rows if counts and rows else 0.0
-        ),
-        "sparse_item_fraction": (
-            sum(1 for value in counts.values() if value <= sparse_cut) / items
-            if items
-            else 0.0
-        ),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -790,7 +750,7 @@ class RoaringCounter(SupportCounter):
             or self._index_db is None
             or self._index_db() is not db
         ):
-            # the per-item counts engine resolution already measured
+            # mean column density from the per-item counts
             counts = db.item_support_counts()
             cells = len(counts) * len(db)
             density = sum(counts.values()) / cells if cells else 0.0

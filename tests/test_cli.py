@@ -25,11 +25,11 @@ class TestParser:
     def test_mine_flags(self):
         args = build_parser().parse_args(
             ["mine", "db.dat", "--min-support", "1.5",
-             "--algorithm", "apriori", "--engine", "trie"]
+             "--algorithm", "apriori", "--engine", "hashtree"]
         )
         assert args.min_support == 1.5
         assert args.algorithm == "apriori"
-        assert args.engine == "trie"
+        assert args.engine == "hashtree"
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):

@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from repro.db import counting
 from repro.db.counting import (
+    AUTO_PACKED_MIN_ROWS,
     available_engines,
+    engine_decision,
     get_counter,
 )
 from repro.db.transaction_db import TransactionDatabase
@@ -105,7 +108,49 @@ class TestFactory:
     def test_available_engines_is_sorted(self):
         engines = available_engines()
         assert engines == sorted(engines)
-        assert {"naive", "bitmap", "hashtree", "trie"} <= set(engines)
+        assert {"naive", "bitmap", "hashtree"} <= set(engines)
+
+
+def sparse_db(rows):
+    """~1.25% column density: the shape ``auto`` once routed to roaring."""
+    rng = random.Random(rows)
+    return TransactionDatabase(
+        [rng.sample(range(200), rng.randint(1, 4)) for _ in range(rows)],
+        universe=range(200),
+    )
+
+
+class TestEngineDecision:
+    @pytest.mark.parametrize(
+        "rows, name, have_numpy, expected",
+        [
+            (4200, "auto", True, "packed"),
+            (4200, None, True, "packed"),
+            (4200, "auto", False, "bitmap"),
+            (AUTO_PACKED_MIN_ROWS, "auto", True, "packed"),
+            (AUTO_PACKED_MIN_ROWS - 1, "auto", True, "bitmap"),
+            (300, "auto", False, "bitmap"),
+            (4200, "roaring", True, "roaring"),
+            (4200, "roaring", False, "roaring"),
+            (300, "packed", True, "packed"),
+            (300, "naive", False, "naive"),
+        ],
+    )
+    def test_rule(self, monkeypatch, rows, name, have_numpy, expected):
+        db = sparse_db(rows)
+        monkeypatch.setattr(counting, "HAVE_NUMPY", have_numpy)
+
+        def no_probe():
+            raise AssertionError("engine_decision must not measure the data")
+
+        monkeypatch.setattr(db, "item_support_counts", no_probe)
+        decision = engine_decision(db, name)
+        assert decision.engine == expected
+        if name in (None, "auto"):
+            assert decision.evidence["rows"] == rows
+            assert set(decision.evidence) == {"rows", "reason"}
+        else:
+            assert decision.evidence == {"reason": "explicit"}
 
 
 class TestBitmapPrefixCache:

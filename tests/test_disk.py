@@ -76,7 +76,7 @@ class TestStreaming:
 
 
 class TestMiningFromDisk:
-    @pytest.mark.parametrize("engine", ["naive", "bitmap", "hashtree", "trie"])
+    @pytest.mark.parametrize("engine", ["naive", "bitmap", "hashtree"])
     def test_all_engines_mine_from_disk(self, on_disk, engine):
         disk, memory = on_disk
         from_disk = PincerSearch(engine=engine).mine(disk, 0.5)
@@ -93,7 +93,7 @@ class TestMiningFromDisk:
 
     def test_io_model_matches_paper_accounting(self, on_disk):
         disk, _ = on_disk
-        counter = get_counter("trie")
+        counter = get_counter("hashtree")
         result = PincerSearch(adaptive=False).mine(
             disk, 0.5, counter=counter
         )

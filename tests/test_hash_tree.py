@@ -1,11 +1,10 @@
-"""Tests for the Apriori hash tree and the candidate trie."""
+"""Tests for the Apriori hash tree."""
 
 import random
 
 import pytest
 
 from repro.db.hash_tree import HashTree
-from repro.db.trie import CandidateTrie
 
 
 def brute_counts(candidates, transactions):
@@ -81,54 +80,3 @@ class TestHashTree:
                 candidates, transactions
             )
 
-
-class TestCandidateTrie:
-    def test_counts_simple(self):
-        trie = CandidateTrie([(1, 2), (2,), (1, 2, 3)])
-        transactions = [frozenset({1, 2, 3}), frozenset({2, 3})]
-        assert trie.counts_by_itemset(transactions) == {
-            (1, 2): 1, (2,): 2, (1, 2, 3): 1,
-        }
-
-    def test_mixed_lengths_supported(self):
-        trie = CandidateTrie([(1,), (1, 2, 3, 4)])
-        assert len(trie) == 2
-
-    def test_insert_idempotent(self):
-        trie = CandidateTrie()
-        trie.insert((1, 2))
-        trie.insert((1, 2))
-        assert len(trie) == 1
-
-    def test_contains(self):
-        trie = CandidateTrie([(1, 2)])
-        assert (1, 2) in trie
-        assert (1,) not in trie  # prefix of a candidate is not a candidate
-
-    def test_itemsets_in_insertion_order(self):
-        trie = CandidateTrie([(2, 3), (1,)])
-        assert trie.itemsets() == [(2, 3), (1,)]
-
-    def test_empty_itemset_counts_every_transaction(self):
-        trie = CandidateTrie([()])
-        assert trie.counts_by_itemset([frozenset(), frozenset({1})]) == {
-            (): 2
-        }
-
-    def test_randomised_against_brute_force(self):
-        rng = random.Random(19)
-        population = list(range(1, 20))
-        candidates = list(
-            {
-                tuple(sorted(rng.sample(population, rng.randint(1, 5))))
-                for _ in range(70)
-            }
-        )
-        transactions = [
-            frozenset(rng.sample(population, rng.randint(0, 10)))
-            for _ in range(60)
-        ]
-        trie = CandidateTrie(candidates)
-        assert trie.counts_by_itemset(transactions) == brute_counts(
-            candidates, transactions
-        )

@@ -59,7 +59,7 @@ class TestMinerAgreement:
     def test_engines_interchangeable_end_to_end(self, workload):
         db, minsup = workload
         reference = PincerSearch(engine="bitmap").mine(db, minsup).mfs
-        for engine in ("naive", "hashtree", "trie"):
+        for engine in ("naive", "hashtree"):
             assert PincerSearch(engine=engine).mine(db, minsup).mfs == reference
 
     def test_hostile_adaptivity_end_to_end(self, workload):

@@ -44,12 +44,8 @@ class TestSelection:
 
     def test_default_is_bitmask(self):
         assert DEFAULT_KERNEL == "bitmask"
-        assert resolve_kernel_name(None) in KERNEL_NAMES
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LATTICE_KERNEL", "tuple")
-        assert resolve_kernel_name(None) == "tuple"
-        assert resolve_kernel_name("auto") == "tuple"
+        assert resolve_kernel_name(None) == "bitmask"
+        assert resolve_kernel_name("auto") == "bitmask"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

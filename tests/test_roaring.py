@@ -22,7 +22,6 @@ from repro.db.roaring import (
     RoaringCounter,
     RoaringIndex,
     TIER_LADDER,
-    measure_density,
 )
 from repro.db.counting import get_counter
 from repro.db.transaction_db import TransactionDatabase
@@ -193,17 +192,6 @@ def test_chunked_int_index_skips_absent_chunks():
     assert set(index._columns[1].chunks) == {2}
     counts = index.counts([(0,), (1,), (0, 1)])
     assert counts == [2, 1, 1]
-
-
-def test_measure_density_evidence_shape():
-    db = TransactionDatabase([[0, 1], [1], []], universe=range(4))
-    evidence = measure_density(db)
-    assert evidence["rows"] == 3
-    assert evidence["items"] == 4
-    assert evidence["nnz"] == 3
-    assert evidence["density"] == pytest.approx(3 / 12.0)
-    assert evidence["max_item_density"] == pytest.approx(2 / 3.0)
-    assert 0.0 <= evidence["sparse_item_fraction"] <= 1.0
 
 
 def test_prefix_cache_accounting_and_reset():

@@ -323,8 +323,10 @@ class TestWarmStartRandomized:
 class TestSnapshotBackedSession:
     """A session opened on a snapshot never parses the basket file."""
 
-    def test_auto_open_reads_no_baskets(self, tmp_path):
-        # >= 4096 sparse rows, so ``auto`` measures density (roaring)
+    @pytest.mark.parametrize("engine", ["auto", "roaring"])
+    def test_auto_open_reads_no_baskets(self, tmp_path, engine):
+        # >= 4096 sparse rows: ``roaring`` measures column density (and
+        # picks its roaring rung with NumPy) from the snapshot's matrix
         rng = random.Random(5)
         db = TransactionDatabase(
             [rng.sample(range(200), rng.randint(1, 4)) for _ in range(4200)]
@@ -335,10 +337,10 @@ class TestSnapshotBackedSession:
         snap_db = DiskTransactionDatabase.from_snapshot(
             default_snapshot_path(basket)
         )
-        with MiningSession(snap_db, engine="auto") as session:
+        with MiningSession(snap_db, engine=engine) as session:
             assert snap_db.records_streamed == 0
             with MiningSession(
-                DiskTransactionDatabase(basket), engine="auto"
+                DiskTransactionDatabase(basket), engine=engine
             ) as from_baskets:
                 assert session.decision == from_baskets.decision
             result = session.mine(0.01)
