@@ -8,7 +8,21 @@ implemented is in fact an adaptive version ... This adaptive version does
 not maintain the MFCS, when doing so would be counterproductive."
 
 The paper does not publish the exact heuristic, so we expose it as a
-policy object with the two natural triggers and paper-guided defaults:
+policy object.  Abandoning is not free once a maximal itemset has been
+found: the fallback sweep must then rebuild every level from level 1
+(DESIGN.md A6), so with a non-empty MFS the policy compares two prices
+it can read off counts the miner already holds:
+
+* **rebuild** — a lower bound on what the sweep would re-classify,
+  ``max(C(|L1|, 2), Σ_k |frequent counted at level k|)``;
+* **keep** — before the MFCS-gen update, the pending update work plus
+  the next top-down count, ``|S_k| + |infrequent MFCS elements| +
+  |MFCS|``; after candidate generation, ``|MFCS|``.
+
+The MFCS is kept while keep ≤ rebuild and abandoned (reason
+``priced``) otherwise.  With an empty MFS the sweep merely resumes at
+the current level, so abandoning costs nothing extra and the older
+triggers decide, with paper-guided defaults:
 
 * **size blow-up** — splitting on many scattered infrequent itemsets can
   make the MFCS explode; when its cardinality exceeds an absolute cap or a
@@ -16,7 +30,12 @@ policy object with the two natural triggers and paper-guided defaults:
   support counting than it can ever save;
 * **futility** — if several consecutive passes counted MFCS elements
   without ever finding one frequent (no maximal itemset discovered
-  top-down), the distribution is scattered and the MFCS is pure overhead.
+  top-down), the distribution is scattered and the MFCS is pure overhead;
+* **pass-2 frequent ratio** and the **candidate bound** checked before
+  the update (see :meth:`AdaptivePolicy.keep_after_classification`).
+
+The length cap and the mid-update size/work caps apply whichever side
+decides.
 
 Once the policy gives up, Pincer-Search degenerates gracefully into
 Apriori (the MFS is then completed bottom-up), which is exactly the
@@ -28,6 +47,7 @@ measured runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from ..obs.logsetup import get_logger
 
@@ -69,6 +89,11 @@ class PassRateEstimator:
 @dataclass
 class AdaptivePolicy:
     """Decides each pass whether to keep maintaining the MFCS.
+
+    Once the MFS is non-empty both checks are priced (see the module
+    docstring): the MFCS goes, with reason ``priced``, only when keeping
+    it costs more than :attr:`rebuild_price`.  While the MFS is empty the
+    triggers configured below decide.
 
     Parameters
     ----------
@@ -137,6 +162,10 @@ class AdaptivePolicy:
         self._futile_streak = 0
         self._abandoned = False
         self.abandon_reason: "str | None" = None
+        #: |L1| and Σ_k |frequent counted at level k|, fed by
+        #: :meth:`keep_after_classification`
+        self._frequent_singletons = 0
+        self._frequent_counted = 0
 
     @property
     def abandoned(self) -> bool:
@@ -159,11 +188,34 @@ class AdaptivePolicy:
         """Work budget per MFCS-gen update; None disables it."""
         return self.mfcs_work_cap
 
+    @property
+    def rebuild_price(self) -> int:
+        """Lower bound on the itemsets a rebuild from level 1 re-classifies.
+
+        The sweep's level 2 is every pair of the ``|L1|`` frequent items,
+        and each of its levels meets every frequent itemset of that size,
+        among them those the maintained phase already counted bottom-up.
+        """
+        return max(comb(self._frequent_singletons, 2), self._frequent_counted)
+
     def abandon(self) -> None:
         """Force permanent abandonment (called on a mid-update cap abort)."""
         logger.info("MFCS-gen update blew past its size/work cap; abandoning")
         self._abandoned = True
         self.abandon_reason = "mfcs-update-cap"
+
+    def _priced_keep(self, pass_number: int, keep_price: int) -> bool:
+        """Keep the MFCS unless keeping it outprices the rebuild."""
+        rebuild = self.rebuild_price
+        if keep_price <= rebuild:
+            return True
+        logger.info(
+            "pass %d: keeping the MFCS prices %d, rebuilding %d; abandoning",
+            pass_number, keep_price, rebuild,
+        )
+        self._abandoned = True
+        self.abandon_reason = "priced"
+        return False
 
     def keep_after_classification(
         self,
@@ -173,12 +225,20 @@ class AdaptivePolicy:
         longest_maximal: int = 0,
         mfcs_size: int = 0,
         candidate_bound: "int | None" = None,
+        mfs_size: int = 0,
+        infrequent_mfcs: int = 0,
     ) -> bool:
         """Pre-update check: is this pass still worth an MFCS update?
 
         Called after the pass's candidates are classified but *before*
-        MFCS-gen runs, so a hopeless (scattered) pass 2 skips the
-        expensive update altogether.  Two triggers:
+        MFCS-gen runs, so a hopeless pass skips the expensive update
+        altogether.  ``num_frequent`` of ``num_counted`` bottom-up
+        candidates were frequent; they feed the rebuild price.
+
+        With ``mfs_size > 0`` the check is priced: keep while
+        ``(num_counted - num_frequent) + infrequent_mfcs + mfcs_size``
+        (the update's exclusions plus the next top-down count) is at most
+        :attr:`rebuild_price`.  Otherwise two triggers:
 
         * the paper's frequent-fraction cue (``frequent_ratio_floor``);
         * the Geerts–Goethals–Van den Bussche bound: ``candidate_bound``
@@ -190,8 +250,16 @@ class AdaptivePolicy:
         """
         if self._abandoned:
             return False
+        if pass_number == 1:
+            self._frequent_singletons = num_frequent
+        self._frequent_counted += num_frequent
         if longest_maximal > self.abandon_length_cap:
             return True
+        if mfs_size:
+            return self._priced_keep(
+                pass_number,
+                num_counted - num_frequent + infrequent_mfcs + mfcs_size,
+            )
         if (
             candidate_bound is not None
             and pass_number >= self.min_passes
@@ -228,6 +296,7 @@ class AdaptivePolicy:
         num_candidates: int,
         maximal_found_this_pass: int,
         longest_maximal: int = 0,
+        mfs_size: int = 0,
     ) -> bool:
         """Report the pass outcome; returns False once the MFCS should go.
 
@@ -236,12 +305,17 @@ class AdaptivePolicy:
         deliberately stopped maintaining.  ``longest_maximal`` is the
         length of the longest maximal frequent itemset discovered so far;
         past ``abandon_length_cap`` the MFCS is kept unconditionally.
+        With ``mfs_size > 0`` the MFCS is kept while ``mfcs_size`` is at
+        most :attr:`rebuild_price`; the size, ratio and futility triggers
+        decide only while the MFS is empty.
         """
         if self._abandoned:
             return False
         if longest_maximal > self.abandon_length_cap:
             self._futile_streak = 0
             return True
+        if mfs_size:
+            return self._priced_keep(pass_number, mfcs_size)
         if mfcs_size > self.mfcs_size_cap:
             logger.info(
                 "pass %d: |MFCS|=%d over size cap %d; abandoning",
@@ -299,6 +373,8 @@ class AlwaysMaintain(AdaptivePolicy):
         longest_maximal: int = 0,
         mfcs_size: int = 0,
         candidate_bound: "int | None" = None,
+        mfs_size: int = 0,
+        infrequent_mfcs: int = 0,
     ) -> bool:
         return True
 
@@ -309,6 +385,7 @@ class AlwaysMaintain(AdaptivePolicy):
         num_candidates: int,
         maximal_found_this_pass: int,
         longest_maximal: int = 0,
+        mfs_size: int = 0,
     ) -> bool:
         return True
 
@@ -331,5 +408,6 @@ class NeverMaintain(AdaptivePolicy):
         num_candidates: int,
         maximal_found_this_pass: int,
         longest_maximal: int = 0,
+        mfs_size: int = 0,
     ) -> bool:
         return False

@@ -301,11 +301,12 @@ class PincerSearch:
                         ) - len(level_frequents)
                         frequents_seen.update(level_frequents)
 
-                    # ----- pre-update adaptivity (Section 3.5's "many
-                    # 2-itemsets, few frequent" cue, sharpened by the
-                    # Geerts–Goethals–Van den Bussche candidate bound): a
-                    # hopeless pass abandons the MFCS before the expensive
-                    # MFCS-gen update even starts
+                    # ----- pre-update adaptivity (Section 3.5): the
+                    # policy prices keeping against rebuilding, or with an
+                    # empty MFS applies the "many 2-itemsets, few
+                    # frequent" cue and the Geerts–Goethals–Van den
+                    # Bussche candidate bound; a hopeless pass abandons
+                    # the MFCS before the expensive MFCS-gen update starts
                     bound = candidate_upper_bound(len(level_frequents), k)
                     if obs.enabled:
                         pass_span.set(candidate_bound=bound)
@@ -316,6 +317,7 @@ class PincerSearch:
                     maintaining = policy.keep_after_classification(
                         k, len(frequent_in_ck), len(candidates), longest_maximal,
                         mfcs_size=len(mfcs), candidate_bound=bound,
+                        mfs_size=len(mfs), infrequent_mfcs=len(infrequent_mfcs),
                     )
                     if not maintaining:
                         pass_stats.mfcs_size_after = 0
@@ -397,6 +399,7 @@ class PincerSearch:
                             len(next_candidates),
                             pass_stats.maximal_found,
                             longest_maximal,
+                            mfs_size=len(mfs),
                         )
                         candidates = sorted(next_candidates)
 
@@ -414,6 +417,8 @@ class PincerSearch:
                     )
 
             if not maintaining:
+                stats.abandon_pass = k
+                stats.abandon_reason = policy.abandon_reason or "policy"
                 # The MFCS was abandoned (Section 3.5's adaptive fallback)
                 # or never maintained: finish bottom-up with an Apriori
                 # sweep over the not-yet-covered region.  If no maximal
@@ -433,11 +438,7 @@ class PincerSearch:
                     "MFCS abandoned after pass %d; completing bottom-up", k
                 )
                 if progress.enabled:
-                    progress.on_abandon(
-                        k=k,
-                        reason=getattr(policy, "abandon_reason", None)
-                        or "policy",
-                    )
+                    progress.on_abandon(k=k, reason=stats.abandon_reason)
                 start_level = k if not mfs else None
                 self._complete_bottom_up(
                     db, engine, supports, threshold, mfs_cover, frequents_seen,
@@ -455,6 +456,8 @@ class PincerSearch:
                     mfs_size=len(final_mfs),
                     records_read=stats.records_read,
                     abandoned=not maintaining,
+                    abandon_pass=stats.abandon_pass,
+                    abandon_reason=stats.abandon_reason,
                 )
                 obs.gauge("miner.mfs_size").set(len(final_mfs))
                 obs.counter("miner.runs").inc()
@@ -618,6 +621,12 @@ class PincerSearch:
                     pass_stats.seconds = time.perf_counter() - pass_started
                     if obs.enabled:
                         sweep_span.set(**pass_stats.to_dict())
+                        obs.counter("miner.candidates.bottom_up").inc(
+                            pass_stats.bottom_up_candidates
+                        )
+                        obs.counter("miner.frequent_found").inc(
+                            pass_stats.frequent_found
+                        )
                 frequent.extend(newly_frequent)
                 progress = obs.progress
                 if progress.enabled:

@@ -18,7 +18,7 @@ accounting conventions:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 #: Version of the :meth:`MiningStats.to_dict` document — shared with the
 #: trace/metrics event schema (see :mod:`repro.obs.schema`).
@@ -86,6 +86,11 @@ class MiningStats:
     #: involved no sampling.  Recording it is what makes sample-seeded
     #: runs reproducible from their stats document alone.
     sample_seed: Any = None
+    #: pass after which the MFCS was abandoned (0: before pass 1) and the
+    #: policy's named reason (``priced``, ``frequent-ratio``, ...); both
+    #: None when the MFCS was kept to the end or never existed
+    abandon_pass: Optional[int] = None
+    abandon_reason: Optional[str] = None
 
     def new_pass(self, pass_number: int) -> PassStats:
         """Open stats for the next pass and return them for filling in."""
@@ -138,6 +143,8 @@ class MiningStats:
             "engine": self.engine,
             "engine_evidence": dict(self.engine_evidence),
             "sample_seed": self.sample_seed,
+            "abandon_pass": self.abandon_pass,
+            "abandon_reason": self.abandon_reason,
             "num_passes": self.num_passes,
             "total_candidates": self.total_candidates,
             "candidates_after_pass2": self.candidates_after_pass2,
@@ -160,6 +167,8 @@ class MiningStats:
             engine=data.get("engine", ""),
             engine_evidence=dict(data.get("engine_evidence", {})),
             sample_seed=data.get("sample_seed"),
+            abandon_pass=data.get("abandon_pass"),
+            abandon_reason=data.get("abandon_reason"),
             passes=[
                 PassStats.from_dict(entry) for entry in data.get("passes", [])
             ],

@@ -311,6 +311,18 @@ def validate_stats_document(document: Dict[str, Any]) -> None:
             isinstance(document["engine_evidence"], dict),
             "engine_evidence must be an object",
         )
+    # additive v1 keys: None when the MFCS was kept
+    if document.get("abandon_pass") is not None:
+        _require(
+            isinstance(document["abandon_pass"], int)
+            and document["abandon_pass"] >= 0,
+            "abandon_pass must be an int >= 0 or null",
+        )
+    if document.get("abandon_reason") is not None:
+        _require(
+            isinstance(document["abandon_reason"], str),
+            "abandon_reason must be str or null",
+        )
     passes = document.get("passes")
     _require(isinstance(passes, list), "passes must be a list")
     for entry in passes:

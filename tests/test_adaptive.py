@@ -64,6 +64,92 @@ class TestTriggers:
         assert not policy.keep_mfcs(1, 1, 100, 5)
 
 
+class TestPricing:
+    """With a non-empty MFS, keep/abandon compares keep and rebuild prices."""
+
+    @staticmethod
+    def after_pass1(**overrides):
+        # pass 1: 5 frequent singletons of 9 -> rebuild = C(5, 2) = 10;
+        # MFS still empty, so the old triggers (all quiet here) decide
+        policy = AdaptivePolicy(**overrides)
+        assert policy.keep_after_classification(1, 5, 9, mfcs_size=1)
+        assert policy.rebuild_price == 10
+        return policy
+
+    def test_frequent_counts_accumulate(self):
+        policy = self.after_pass1()
+        # all 4 pass-2 candidates frequent: Σ = 9, still under C(5, 2)
+        assert policy.keep_after_classification(2, 4, 4, mfs_size=1)
+        assert policy.rebuild_price == 10
+        assert policy.keep_after_classification(3, 6, 6, mfs_size=1)
+        assert policy.rebuild_price == 15
+
+    def test_keep_equal_to_rebuild_keeps(self):
+        policy = self.after_pass1()
+        # |S_2| + infrequent MFCS + |MFCS| = 6 + 2 + 2 = 10 == rebuild
+        assert policy.keep_after_classification(
+            2, 0, 6, mfcs_size=2, mfs_size=1, infrequent_mfcs=2
+        )
+        assert not policy.abandoned
+        assert policy.keep_mfcs(2, 10, 0, 0, mfs_size=1)
+        assert not policy.abandoned
+
+    def test_keep_over_rebuild_abandons_before_update(self):
+        policy = self.after_pass1()
+        assert not policy.keep_after_classification(
+            2, 0, 6, mfcs_size=3, mfs_size=1, infrequent_mfcs=2
+        )
+        assert policy.abandoned
+        assert policy.abandon_reason == "priced"
+
+    def test_mfcs_over_rebuild_abandons_after_generation(self):
+        policy = self.after_pass1()
+        assert not policy.keep_mfcs(2, 11, 1000, 0, mfs_size=1)
+        assert policy.abandon_reason == "priced"
+
+    def test_prices_replace_the_old_triggers(self):
+        # 0 of 200 pass-2 candidates frequent and |MFCS| over the ratio
+        # cap: both old triggers would fire, but keeping is cheaper
+        policy = AdaptivePolicy()
+        assert policy.keep_after_classification(1, 50, 60, mfcs_size=1)
+        assert policy.keep_after_classification(
+            2, 0, 200, mfcs_size=30, mfs_size=5, infrequent_mfcs=3
+        )
+        assert policy.keep_mfcs(2, 30, 0, 0, mfs_size=5)
+        assert not policy.abandoned
+
+    def test_empty_mfs_defers_to_old_triggers(self):
+        # the same pass abandons on the frequent ratio when no maximal
+        # itemset is known: the sweep then only resumes at level k
+        policy = AdaptivePolicy()
+        assert policy.keep_after_classification(1, 50, 60, mfcs_size=1)
+        assert not policy.keep_after_classification(
+            2, 0, 200, mfcs_size=30, infrequent_mfcs=3
+        )
+        assert policy.abandon_reason == "frequent-ratio"
+        policy = AdaptivePolicy()
+        assert not policy.keep_mfcs(2, 30, 0, 0)
+        assert policy.abandon_reason == "ratio-cap"
+
+    def test_length_cap_blocks_priced_abandonment(self):
+        policy = self.after_pass1(abandon_length_cap=10)
+        assert policy.keep_after_classification(
+            2, 0, 6, longest_maximal=11, mfcs_size=1000, mfs_size=1,
+            infrequent_mfcs=1000,
+        )
+        assert policy.keep_mfcs(2, 1000, 0, 0, 11, mfs_size=1)
+        assert not policy.abandoned
+
+    def test_always_maintain_ignores_prices(self):
+        policy = AlwaysMaintain()
+        assert policy.keep_after_classification(1, 2, 9, mfcs_size=1)
+        assert policy.keep_after_classification(
+            2, 0, 6, mfcs_size=1000, mfs_size=1, infrequent_mfcs=1000
+        )
+        assert policy.keep_mfcs(2, 1000, 0, 0, mfs_size=1)
+        assert not policy.abandoned
+
+
 class TestLengthGuard:
     def test_long_maximal_blocks_all_triggers(self):
         policy = AdaptivePolicy(

@@ -400,6 +400,25 @@ class TestSchemaValidators:
         rebuilt = MiningStats.from_dict(document)
         assert rebuilt.to_dict() == document
 
+    def test_stats_document_carries_abandonment(self):
+        from repro.core.stats import MiningStats
+
+        kept = MiningStats(algorithm="pincer-search").to_dict()
+        assert kept["abandon_pass"] is None
+        assert kept["abandon_reason"] is None
+        validate_stats_document(kept)
+        stats = MiningStats(
+            algorithm="pincer-search", abandon_pass=6, abandon_reason="priced"
+        )
+        document = stats.to_dict()
+        validate_stats_document(document)
+        rebuilt = MiningStats.from_dict(document)
+        assert (rebuilt.abandon_pass, rebuilt.abandon_reason) == (6, "priced")
+        for key, bad in (("abandon_pass", -1), ("abandon_pass", "6"),
+                         ("abandon_reason", 3)):
+            with pytest.raises(SchemaError):
+                validate_stats_document(dict(document, **{key: bad}))
+
     def test_stats_document_rejects_bad_pass_number(self):
         with pytest.raises(SchemaError):
             validate_stats_document(

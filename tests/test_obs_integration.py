@@ -99,23 +99,36 @@ class TestTraceMatchesStats:
             assert event["attrs"]["batch_size"] > 0
 
     def test_metrics_agree_with_stats(self, tmp_path):
-        db = TransactionDatabase(TRANSACTIONS)
-        metrics_path = str(tmp_path / "m.json")
-        obs = capture(metrics_path=metrics_path)
-        result = PincerSearch(adaptive=True).mine(db, 0.25, obs=obs)
-        obs.finish()
-        validate_metrics_file(metrics_path)
-        with open(metrics_path) as handle:
-            document = json.load(handle)
-        counters = document["counters"]
-        assert counters["miner.runs"] == 1
-        assert (
-            counters["miner.candidates.bottom_up"]
-            + counters["miner.candidates.mfcs"]
-            == result.stats.total_candidates
-        )
-        assert counters["engine.records_read"] == result.stats.records_read
-        assert document["gauges"]["miner.mfs_size"] == len(result.mfs)
+        from repro.datagen.configs import SCATTERED, scaled
+        from repro.datagen.quest import generate
+
+        # the toy database keeps its MFCS; the scattered one abandons it
+        # at pass 2 and finishes with completion-sweep passes
+        cases = [
+            (TransactionDatabase(TRANSACTIONS), 0.25, None),
+            (generate(scaled(SCATTERED["T10.I4.D100K"], 3000)), 0.01, 2),
+        ]
+        for index, (db, support, abandon_pass) in enumerate(cases):
+            metrics_path = str(tmp_path / ("m%d.json" % index))
+            obs = capture(metrics_path=metrics_path)
+            result = PincerSearch(adaptive=True).mine(db, support, obs=obs)
+            obs.finish()
+            assert result.stats.abandon_pass == abandon_pass
+            validate_metrics_file(metrics_path)
+            with open(metrics_path) as handle:
+                document = json.load(handle)
+            counters = document["counters"]
+            assert counters["miner.runs"] == 1
+            assert (
+                counters["miner.candidates.bottom_up"]
+                + counters["miner.candidates.mfcs"]
+                == result.stats.total_candidates
+            )
+            assert counters["miner.frequent_found"] == sum(
+                stats.frequent_found for stats in result.stats.passes
+            )
+            assert counters["engine.records_read"] == result.stats.records_read
+            assert document["gauges"]["miner.mfs_size"] == len(result.mfs)
 
     def test_mfcs_cover_query_counters_emitted(self, tmp_path):
         """The MFCS sub-linearity signal must survive to the metrics doc.

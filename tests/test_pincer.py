@@ -1,5 +1,8 @@
 """Algorithm-level tests for Pincer-Search (repro.core.pincer)."""
 
+import json
+from itertools import combinations
+
 import pytest
 
 from repro.core.adaptive import AdaptivePolicy, AlwaysMaintain, NeverMaintain
@@ -147,6 +150,58 @@ class TestPolicies:
             stats.pruned_as_mfs_subsets for stats in result.stats.passes
         )
         assert pruned > 0 or result.stats.num_passes <= 2
+
+
+class TestPricedAbandonment:
+    @staticmethod
+    def concentrated_db():
+        # every 3-subset of 12 items twice (no 4-subset co-occurs) plus a
+        # 6-item block twice: the block is found maximal top-down in
+        # pass 3, then pass 4 counts C(12, 4) = 495 infrequent 4-itemsets
+        # whose exclusions (plus 12 MFCS elements) outprice rebuilding
+        # from level 1 (C(18, 2) = 153 pairs, 339 counted frequents)
+        rows = [list(triple) for triple in combinations(range(1, 13), 3)]
+        rows.append(list(range(101, 107)))
+        return TransactionDatabase(rows * 2)
+
+    def test_abandons_priced_before_the_update(self, tmp_path):
+        from repro.obs import capture
+
+        db = self.concentrated_db()
+        trace_path = str(tmp_path / "run.jsonl")
+        obs = capture(trace_path=trace_path)
+        result = PincerSearch().mine(db, min_count=2, obs=obs)
+        obs.finish()
+        assert result.stats.abandon_reason == "priced"
+        assert result.stats.abandon_pass == 4
+        with open(trace_path, encoding="utf-8") as handle:
+            spans = [
+                event for event in map(json.loads, handle)
+                if event["type"] == "span"
+            ]
+        (run,) = [span for span in spans if span["name"] == "run"]
+        assert run["attrs"]["abandon_reason"] == "priced"
+        assert run["attrs"]["abandon_pass"] == 4
+        passes = {
+            span["attrs"]["k"]: span["span"]
+            for span in spans if span["name"] == "pass"
+        }
+        updated = {
+            span["parent"] for span in spans if span["name"] == "mfcs_gen"
+        }
+        assert passes[3] in updated
+        assert passes[4] not in updated
+        pure = pincer_search(db, min_count=2, adaptive=False)
+        assert result.mfs == pure.mfs
+        assert pure.stats.abandon_reason is None
+
+    def test_stats_name_every_abandonment(self):
+        never = pincer_search(toy_db(), 0.5, policy=NeverMaintain())
+        assert never.stats.abandon_reason == "never-maintain"
+        assert never.stats.abandon_pass == 0
+        kept = pincer_search(toy_db(), 0.5, adaptive=False)
+        assert kept.stats.abandon_reason is None
+        assert kept.stats.abandon_pass is None
 
 
 class TestPruneUncoveredExtension:

@@ -320,6 +320,45 @@ class TestWarmStartRandomized:
         assert sorted(seeded.mfs) == sorted(cold.mfs)
 
 
+class TestWarmPricedKeep:
+    """A warm query keeps its MFCS when rebuilding would cost more.
+
+    On a scattered database the cold query's pass 2 finds few frequent
+    pairs and abandons with an empty MFS.  A warm query just above it
+    classifies its seed in pass 1, so its MFS is non-empty from then on:
+    abandoning would rebuild every pair of frequent items, while keeping
+    costs the few pass-2 exclusions plus a handful of MFCS elements.
+    """
+
+    @pytest.fixture(scope="class")
+    def scattered_db(self):
+        from repro.datagen.configs import SCATTERED, scaled
+        from repro.datagen.quest import generate
+
+        return generate(scaled(SCATTERED["T10.I4.D100K"], 1000))
+
+    @pytest.mark.parametrize("kernel", ["bitmask", "tuple"])
+    def test_warm_query_above_cold_threshold_keeps_mfcs(
+        self, scattered_db, kernel
+    ):
+        cold_count = scattered_db.absolute_support(0.01)
+        with MiningSession(
+            scattered_db, engine="bitmap", kernel=kernel
+        ) as session:
+            cold = session.mine(min_count=cold_count)
+            warm = session.mine(min_count=cold_count + 1)
+        assert cold.stats.abandon_reason == "frequent-ratio"
+        assert cold.stats.abandon_pass == 2
+        # kept to the end: no abandonment, hence no completion sweep
+        assert warm.stats.abandon_pass is None
+        assert warm.stats.abandon_reason is None
+        assert sum(p.mfcs_candidates for p in warm.stats.passes) > 0
+        pure = PincerSearch(adaptive=False).mine(
+            scattered_db, min_count=cold_count + 1
+        )
+        assert warm.mfs == pure.mfs
+
+
 class TestSnapshotBackedSession:
     """A session opened on a snapshot never parses the basket file."""
 
