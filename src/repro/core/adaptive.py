@@ -17,7 +17,9 @@ it can read off counts the miner already holds:
   ``max(C(|L1|, 2), Σ_k |frequent counted at level k|)``;
 * **keep** — before the MFCS-gen update, the pending update work plus
   the next top-down count, ``|S_k| + |infrequent MFCS elements| +
-  |MFCS|``; after candidate generation, ``|MFCS|``.
+  |MFCS|`` (``|S_1|`` bills 0: an infrequent singleton is projected
+  out of the elements and splits none); after candidate generation,
+  ``|MFCS|``.
 
 The MFCS is kept while keep ≤ rebuild and abandoned (reason
 ``priced``) otherwise.  With an empty MFS the sweep merely resumes at
@@ -238,7 +240,9 @@ class AdaptivePolicy:
         With ``mfs_size > 0`` the check is priced: keep while
         ``(num_counted - num_frequent) + infrequent_mfcs + mfcs_size``
         (the update's exclusions plus the next top-down count) is at most
-        :attr:`rebuild_price`.  Otherwise two triggers:
+        :attr:`rebuild_price`.  At pass 1 the infrequent singletons bill
+        nothing: excluding one only projects it out of every element.
+        Otherwise two triggers:
 
         * the paper's frequent-fraction cue (``frequent_ratio_floor``);
         * the Geerts–Goethals–Van den Bussche bound: ``candidate_bound``
@@ -256,9 +260,11 @@ class AdaptivePolicy:
         if longest_maximal > self.abandon_length_cap:
             return True
         if mfs_size:
+            # MFCS-gen on an infrequent singleton only projects the item
+            # out of each element and creates none, so pass 1 bills 0
+            exclusions = num_counted - num_frequent if pass_number > 1 else 0
             return self._priced_keep(
-                pass_number,
-                num_counted - num_frequent + infrequent_mfcs + mfcs_size,
+                pass_number, exclusions + infrequent_mfcs + mfcs_size
             )
         if (
             candidate_bound is not None

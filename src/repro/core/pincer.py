@@ -36,6 +36,7 @@ the Apriori join as known-frequent itemsets and are never re-counted.
 
 from __future__ import annotations
 
+import copy
 import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Set, Tuple
@@ -86,8 +87,9 @@ class PincerSearch:
         :class:`AdaptivePolicy` may abandon the MFCS; when False the pure
         algorithm maintains it to the end.
     policy:
-        Explicit policy instance, overriding ``adaptive``.  Policies are
-        stateful, so give each :meth:`mine` call a fresh one.
+        Explicit policy prototype, overriding ``adaptive``.  Policies are
+        stateful, so each :meth:`mine` call runs on its own deep copy and
+        the prototype itself is never changed.
     prune_uncovered:
         Extension beyond the paper: additionally drop bottom-up candidates
         not covered by MFS ∪ MFCS.  Such candidates are provably
@@ -125,7 +127,7 @@ class PincerSearch:
 
     def _make_policy(self) -> AdaptivePolicy:
         if self._policy_prototype is not None:
-            return self._policy_prototype
+            return copy.deepcopy(self._policy_prototype)
         return AdaptivePolicy() if self._adaptive else AlwaysMaintain()
 
     # ------------------------------------------------------------------

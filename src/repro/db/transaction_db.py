@@ -6,7 +6,10 @@ store is *horizontal* (one row per transaction) because that is what the
 levelwise algorithms scan; a *vertical* bitmap view (one bitmap per item,
 bit ``t`` set iff transaction ``t`` contains the item) is built lazily, in
 one linear pass, for the vertical counting engines
-(:func:`repro.db.vertical.build_vertical`).
+(:func:`repro.db.vertical.build_vertical`).  A database read by the NumPy
+basket parse holds flat arrays instead (:class:`~repro.db.vertical.FlatBaskets`):
+its vertical view is scattered straight from them, and the horizontal
+rows are built only if something asks for rows.
 
 Support thresholds: the paper defines support as a *fraction* of the
 transactions.  :meth:`TransactionDatabase.absolute_support` converts a
@@ -18,10 +21,20 @@ the usual ``count >= ceil(fraction * |D|)`` convention.
 from __future__ import annotations
 
 from math import ceil
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .._types import Itemset
-from .vertical import VerticalView, build_vertical
+from .vertical import FlatBaskets, VerticalView, build_vertical
 
 
 class TransactionDatabase:
@@ -30,10 +43,17 @@ class TransactionDatabase:
     Parameters
     ----------
     transactions:
-        Any iterable of item iterables.  Each transaction is normalised to a
-        ``frozenset`` of ints; empty transactions are kept (they count toward
-        ``|D|`` but support nothing, matching the benchmark generator which
-        can emit size-0 baskets only if asked to).
+        Any iterable of item iterables, normalised at construction to one
+        ``frozenset`` of ints per transaction; or :class:`FlatBaskets`,
+        the flat arrays of the NumPy basket parse.  Flat baskets stay
+        flat: the universe comes from a ``bincount`` (``np.unique`` for
+        ids too large to index a table), the vertical view is scattered
+        straight from the arrays, and the per-row frozensets are built
+        only when something asks for rows (iteration, indexing,
+        ``transactions``, equality, ``support_count``, ``restricted_to``,
+        ``sample``).  Empty transactions are kept (they count toward
+        ``|D|`` but support nothing, matching the benchmark generator
+        which can emit size-0 baskets only if asked to).
     universe:
         Optional explicit item universe.  When omitted, the universe is the
         set of items that occur in at least one transaction.  An explicit
@@ -43,61 +63,76 @@ class TransactionDatabase:
 
     def __init__(
         self,
-        transactions: Iterable[Iterable[int]],
+        transactions: Union[Iterable[Iterable[int]], FlatBaskets],
         universe: Optional[Iterable[int]] = None,
     ) -> None:
-        self._transactions: List[FrozenSet[int]] = [
-            frozenset(transaction) for transaction in transactions
-        ]
+        self._flat: Optional[FlatBaskets] = None
+        #: per-row frozensets; None until asked for when built from flat arrays
+        self._rows: Optional[List[FrozenSet[int]]] = None
+        if isinstance(transactions, FlatBaskets):
+            self._flat = transactions
+            self._num_rows = transactions.num_rows
+            occurring = transactions.distinct_items().tolist()
+        else:
+            self._rows = [frozenset(transaction) for transaction in transactions]
+            self._num_rows = len(self._rows)
+            occurring = sorted(set().union(*self._rows))
         if universe is None:
-            occurring: set = set()
-            for transaction in self._transactions:
-                occurring.update(transaction)
-            self._universe: Itemset = tuple(sorted(occurring))
+            self._universe: Itemset = tuple(occurring)
         else:
             self._universe = tuple(sorted(set(universe)))
-            universe_set = frozenset(self._universe)
-            for position, transaction in enumerate(self._transactions):
-                if not transaction <= universe_set:
-                    raise ValueError(
-                        "transaction %d contains items outside the universe"
-                        % position
-                    )
+            outside = set(occurring).difference(self._universe)
+            if outside:
+                position = next(
+                    position
+                    for position, transaction in enumerate(self)
+                    if not outside.isdisjoint(transaction)
+                )
+                raise ValueError(
+                    "transaction %d contains items outside the universe"
+                    % position
+                )
         self._vertical: Optional[VerticalView] = None
         self._bitmaps: Optional[Dict[int, int]] = None
         self._item_counts: Optional[Dict[int, int]] = None
+
+    def _row_list(self) -> List[FrozenSet[int]]:
+        """The per-row frozensets, built from the flat arrays on first use."""
+        if self._rows is None:
+            self._rows = self._flat.rows()
+        return self._rows
 
     # ------------------------------------------------------------------
     # basic shape
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._transactions)
+        return self._num_rows
 
     def __iter__(self) -> Iterator[FrozenSet[int]]:
-        return iter(self._transactions)
+        return iter(self._row_list())
 
     def __getitem__(self, index: int) -> FrozenSet[int]:
-        return self._transactions[index]
+        return self._row_list()[index]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TransactionDatabase):
             return NotImplemented
         return (
-            self._transactions == other._transactions
-            and self._universe == other._universe
+            self._universe == other._universe
+            and self._row_list() == other._row_list()
         )
 
     def __repr__(self) -> str:
         return "TransactionDatabase(|D|=%d, |I|=%d)" % (
-            len(self._transactions),
+            self._num_rows,
             len(self._universe),
         )
 
     @property
     def transactions(self) -> Sequence[FrozenSet[int]]:
         """The transactions, in insertion order."""
-        return self._transactions
+        return self._row_list()
 
     @property
     def universe(self) -> Itemset:
@@ -110,11 +145,9 @@ class TransactionDatabase:
 
     def average_transaction_size(self) -> float:
         """Mean basket length — the generator's ``|T|`` parameter, measured."""
-        if not self._transactions:
+        if not self._num_rows:
             return 0.0
-        return sum(len(transaction) for transaction in self._transactions) / len(
-            self._transactions
-        )
+        return sum(self._counts().values()) / self._num_rows
 
     # ------------------------------------------------------------------
     # support
@@ -131,7 +164,7 @@ class TransactionDatabase:
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("minimum support must be a fraction in [0, 1]")
-        return max(1, ceil(fraction * len(self._transactions)))
+        return max(1, ceil(fraction * self._num_rows))
 
     def support_count(self, candidate: Iterable[int]) -> int:
         """Absolute support of one itemset, by full scan.
@@ -141,7 +174,7 @@ class TransactionDatabase:
         candidate set.
         """
         wanted = frozenset(candidate)
-        return sum(1 for transaction in self._transactions if wanted <= transaction)
+        return sum(1 for transaction in self._row_list() if wanted <= transaction)
 
     def support(self, candidate: Iterable[int]) -> float:
         """Fractional support of one itemset.
@@ -149,27 +182,40 @@ class TransactionDatabase:
         >>> TransactionDatabase([[1, 2], [1], [2]]).support([1])
         0.6666666666666666
         """
-        if not self._transactions:
+        if not self._num_rows:
             return 0.0
-        return self.support_count(candidate) / len(self._transactions)
+        return self.support_count(candidate) / self._num_rows
+
+    def _counts(self) -> Dict[int, int]:
+        if self._item_counts is None:
+            if self._rows is None:
+                # flat arrays may repeat an item within a basket; the
+                # popcount of its vertical row counts the basket once
+                self._item_counts = self.vertical().item_counts()
+            else:
+                counts: Dict[int, int] = dict.fromkeys(self._universe, 0)
+                for transaction in self._rows:
+                    for item in transaction:
+                        counts[item] += 1
+                self._item_counts = counts
+        return self._item_counts
 
     def item_support_counts(self) -> Dict[int, int]:
         """Support count of every universe item (the pass-1 1-D array).
 
-        Items that never occur are reported with count 0.  Counted once;
-        every call returns a fresh copy.
+        Items that never occur are reported with count 0.  Counted once,
+        from the vertical view when the database holds flat arrays; every
+        call returns a fresh copy.
         """
-        if self._item_counts is None:
-            counts: Dict[int, int] = dict.fromkeys(self._universe, 0)
-            for transaction in self._transactions:
-                for item in transaction:
-                    counts[item] += 1
-            self._item_counts = counts
-        return dict(self._item_counts)
+        return dict(self._counts())
 
     # ------------------------------------------------------------------
     # vertical view
     # ------------------------------------------------------------------
+
+    def _build_vertical(self) -> VerticalView:
+        source = self._flat if self._flat is not None else self._rows
+        return build_vertical(source, self._universe, self._num_rows)
 
     def vertical(self) -> VerticalView:
         """The packed vertical view, built once in one linear pass and cached.
@@ -179,9 +225,7 @@ class TransactionDatabase:
         :class:`~repro.db.vertical.VerticalView`.
         """
         if self._vertical is None:
-            self._vertical = build_vertical(
-                self._transactions, self._universe, len(self._transactions)
-            )
+            self._vertical = self._build_vertical()
         return self._vertical
 
     def item_bitmaps(self) -> Dict[int, int]:
@@ -193,9 +237,7 @@ class TransactionDatabase:
         of C-level operations.  A view built only for this is not kept.
         """
         if self._bitmaps is None:
-            view = self._vertical or build_vertical(
-                self._transactions, self._universe, len(self._transactions)
-            )
+            view = self._vertical or self._build_vertical()
             self._bitmaps = view.int_bitmaps()
         return self._bitmaps
 
@@ -229,18 +271,16 @@ class TransactionDatabase:
         """
         keep = frozenset(items)
         return TransactionDatabase(
-            [transaction & keep for transaction in self._transactions],
+            [transaction & keep for transaction in self._row_list()],
             universe=sorted(keep),
         )
 
     def sample(self, indices: Iterable[int]) -> "TransactionDatabase":
         """A new database containing the transactions at ``indices``."""
-        picked = [self._transactions[index] for index in indices]
+        rows = self._row_list()
+        picked = [rows[index] for index in indices]
         return TransactionDatabase(picked, universe=self._universe)
 
     def occurring_items(self) -> Itemset:
         """Items with non-zero support, as a canonical itemset."""
-        seen: set = set()
-        for transaction in self._transactions:
-            seen.update(transaction)
-        return tuple(sorted(seen))
+        return tuple(item for item, count in self._counts().items() if count)

@@ -47,12 +47,14 @@ from itertools import chain
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Generic,
     Iterable,
     List,
     Optional,
     Sequence,
     TypeVar,
+    Union,
 )
 
 from .._types import Itemset
@@ -67,6 +69,7 @@ except ImportError:  # pragma: no cover - exercised via force_python paths
 HAVE_NUMPY = _np is not None
 
 __all__ = [
+    "FlatBaskets",
     "HAVE_NUMPY",
     "IntBitmapIndex",
     "LruPrefixCache",
@@ -363,8 +366,112 @@ class VerticalView:
         }
 
 
+class FlatBaskets:
+    """Baskets as two flat NumPy arrays, the layout the basket parser emits.
+
+    Basket ``r`` holds ``items[offsets[r]:offsets[r + 1]]``: ``items`` is
+    every item occurrence in file order (``int64``) and ``offsets`` the
+    ``num_rows + 1`` running basket lengths.  An item may repeat within a
+    basket; every consumer treats a basket as a set.  Only the NumPy
+    parse in :func:`repro.db.io.load_basket` makes one.
+    """
+
+    __slots__ = ("items", "offsets")
+
+    def __init__(self, items, offsets) -> None:
+        self.items = items
+        self.offsets = offsets
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.offsets) - 1
+
+    def distinct_items(self):
+        """The sorted distinct items, as an array."""
+        if _small_ids(self.items):
+            return _np.flatnonzero(_np.bincount(self.items))
+        return _np.unique(self.items)
+
+    def rows(self) -> List[FrozenSet[int]]:
+        """One frozenset per basket."""
+        items = self.items.tolist()
+        bounds = self.offsets.tolist()
+        return [frozenset(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _small_ids(items) -> bool:
+    """True when ``items`` are non-negative ids small enough to index a table.
+
+    "Small" is relative to the data, so a table is never much larger than
+    the arrays it replaces a sort of.
+    """
+    return bool(
+        items.size
+        and items.min() >= 0
+        and items.max() < max(1 << 16, 4 * items.size)
+    )
+
+
+def _positions(items, universe):
+    """Index of each of ``items`` in the sorted ``universe`` array, -1 outside.
+
+    A lookup table when the items are small ids, else a binary search.
+    """
+    if _small_ids(items):
+        table = _np.full(int(items.max()) + 1, -1, dtype=_np.intp)
+        inside = (universe >= 0) & (universe < len(table))
+        table[universe[inside]] = _np.flatnonzero(inside)
+        return table[items]
+    if not len(universe):
+        return _np.full(items.size, -1, dtype=_np.intp)
+    index = _np.searchsorted(universe, items)
+    found = universe[_np.minimum(index, len(universe) - 1)] == items
+    return _np.where(found, index, -1)
+
+
+#: Baskets scattered per ``bitwise_or.at`` call: keeps the temporaries
+#: of one call cache-sized, so the build stays linear in |D|.
+_SCATTER_ROWS = 1 << 16
+
+
+def _scatter(view: VerticalView, baskets: FlatBaskets) -> None:
+    """Set the bit of every item occurrence of ``baskets`` in ``view``.
+
+    One vectorized ``bitwise_or.at`` per block of :data:`_SCATTER_ROWS`
+    baskets; an item outside the view's universe raises ValueError.
+    """
+    universe = _np.array(view.universe, dtype=_np.int64)
+    matrix = _np.frombuffer(view.buffer, dtype=_np.uint8)
+    offsets = baskets.offsets
+    for first in range(0, baskets.num_rows, _SCATTER_ROWS):
+        last = min(first + _SCATTER_ROWS, baskets.num_rows)
+        items = baskets.items[offsets[first]:offsets[last]]
+        index = _positions(items, universe)
+        if index.size and index.min() < 0:
+            outside = int(_np.flatnonzero(index < 0)[0])
+            raise ValueError(
+                "transaction %d contains item %r outside the universe"
+                % (
+                    _np.searchsorted(
+                        offsets, offsets[first] + outside, side="right"
+                    ) - 1,
+                    int(items[outside]),
+                )
+            )
+        rows = _np.repeat(
+            _np.arange(first, last, dtype=_np.intp),
+            _np.diff(offsets[first:last + 1]),
+        )
+        index *= view.stride
+        index += rows >> 3
+        rows &= 7
+        bits = rows.astype(_np.uint8)
+        _np.left_shift(_np.uint8(1), bits, out=bits)
+        _np.bitwise_or.at(matrix, index, bits)
+
+
 def build_vertical(
-    rows: Iterable[Iterable[int]],
+    rows: Union[Iterable[Iterable[int]], FlatBaskets],
     universe: Optional[Iterable[int]] = None,
     num_rows: Optional[int] = None,
 ) -> VerticalView:
@@ -372,18 +479,34 @@ def build_vertical(
 
     This is the only code that turns horizontal rows into bitmaps: every
     index, both snapshot writers and ``item_bitmaps`` start from its
-    result.  Each item occurrence sets one bit of one preallocated
-    ``bytearray`` — no growing ints, no NumPy — so the cost is linear in
-    the number of occurrences.
+    result.  The cost is linear in the number of item occurrences.
 
-    ``rows`` is consumed once, in order, and at most ``num_rows`` rows
-    are taken, so a streaming writer can cut one partition at a time
+    :class:`FlatBaskets` (what the NumPy basket parse yields) are
+    scattered into the preallocated buffer by vectorized
+    ``bitwise_or.at``, a block of baskets at a time.  Any other ``rows``
+    are walked in Python, each
+    occurrence setting one bit of one ``bytearray``: the path used
+    without NumPy and for row iterables such as the Quest generator and
+    the streaming snapshot writer.
+
+    Row iterables are consumed once, in order, and at most ``num_rows``
+    rows are taken, so a streaming writer can cut one partition at a time
     from a shared iterator; a shorter stream raises :class:`ValueError`.
     Without ``num_rows`` or ``universe`` the rows are materialised first
     to count them or collect the occurring items.  An item outside an
     explicit ``universe`` raises :class:`ValueError`.
     """
-    if universe is None or num_rows is None:
+    flat = isinstance(rows, FlatBaskets)
+    if flat:
+        if num_rows is None:
+            num_rows = rows.num_rows
+        elif num_rows != rows.num_rows:
+            raise ValueError(
+                "%d baskets given for num_rows=%d" % (rows.num_rows, num_rows)
+            )
+        if universe is None:
+            universe = rows.distinct_items().tolist()
+    elif universe is None or num_rows is None:
         rows = list(rows)
         if universe is None:
             universe = set().union(*rows)
@@ -392,6 +515,9 @@ def build_vertical(
     items = sorted(set(universe))
     stride = 8 * max(1, (num_rows + 63) // 64)
     view = VerticalView(items, num_rows, bytearray(len(items) * stride))
+    if flat:
+        _scatter(view, rows)
+        return view
     buffer = view.buffer
     base = {item: row * stride for row, item in enumerate(items)}
     position = -1

@@ -140,6 +140,20 @@ class TestPricing:
         assert policy.keep_mfcs(2, 1000, 0, 0, 11, mfs_size=1)
         assert not policy.abandoned
 
+    def test_pass_one_bills_no_infrequent_singletons(self):
+        # a warm query knows its MFS at pass 1: 6 of 9 singletons are
+        # infrequent, but excluding them splits no element, so keeping
+        # costs |infrequent MFCS| + |MFCS| = 1 + 2 against C(3, 2) = 3
+        policy = AdaptivePolicy()
+        assert policy.keep_after_classification(
+            1, 3, 9, mfcs_size=2, mfs_size=1, infrequent_mfcs=1
+        )
+        assert not policy.abandoned
+        assert not policy.keep_after_classification(
+            2, 0, 6, mfcs_size=2, mfs_size=1, infrequent_mfcs=1
+        )
+        assert policy.abandon_reason == "priced"
+
     def test_always_maintain_ignores_prices(self):
         policy = AlwaysMaintain()
         assert policy.keep_after_classification(1, 2, 9, mfcs_size=1)

@@ -1,7 +1,13 @@
 """Tests for database file I/O (repro.db.io)."""
 
-import pytest
+import random
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.pincer import pincer_search
 from repro.db import io
 from repro.db.transaction_db import TransactionDatabase
 
@@ -89,3 +95,151 @@ class TestDispatch:
         path = tmp_path / "DB.DAT"
         io.save(sample_db(), path)
         assert len(io.load(path)) == 3
+
+
+# ----------------------------------------------------------------------
+# the array parse against the reference parser
+# ----------------------------------------------------------------------
+
+#: (name, file text, read by the array parse rather than iter_basket)
+PARSE_CASES = [
+    ("blank-tabs-spaces", "  1 2\t3  \n\n\t\n 4\t\t5 \n   \n6\n", True),
+    ("vertical-tab-form-feed", "1\x0b2\x0c3\n4\n", True),
+    ("no-final-newline", "1 2\n3 4", True),
+    ("empty", "", True),
+    ("whitespace-only", " \n\t\n\n", True),
+    ("crlf", "1 2\r\n3\r\n\r\n4 5\r\n", False),
+    ("lone-cr", "1 2\r3 4\n5", False),
+    ("signs-and-negatives", "+1 -2 3\n-4 +5\n-0 007\n", True),
+    ("underscore", "1_000 2\n3\n", False),
+    ("repeated-item", "1 1 2\n2 2 2\n3 1 3\n", True),
+    ("overlong-integer", "99999999999999999999 1\n2\n", False),
+    ("longest-array-token", "123456789012345678 -12345678901234567\n1\n", True),
+    ("large-sparse-ids", "5000000 3\n-7 5000000\n", True),
+]
+
+#: (file text, line number of the malformed token)
+MALFORMED_CASES = [
+    ("1 2\n3 x\n4\n", 2),
+    ("1 2\n\n3 4.5\n", 3),
+    ("1 -\n2\n", 1),
+    ("1\n5-3\n", 2),
+    ("1\n2\n- 3\n", 3),
+    ("1\n+\n", 2),
+    ("1 2\r\n3 y\r\n", 2),
+]
+
+
+@pytest.fixture(params=["numpy", "no-numpy"])
+def numpy_handle(request, monkeypatch):
+    """Run a test with the array parse, then with ``io._np`` patched away."""
+    if request.param == "numpy":
+        if io._np is None:
+            pytest.skip("NumPy not installed")
+    else:
+        monkeypatch.setattr(io, "_np", None)
+    return request.param
+
+
+def assert_same_database(db, reference):
+    assert list(db) == list(reference)
+    assert db.universe == reference.universe
+    assert bytes(db.vertical().buffer) == bytes(reference.vertical().buffer)
+    assert db.item_support_counts() == reference.item_support_counts()
+    assert db.average_transaction_size() == reference.average_transaction_size()
+    assert db.occurring_items() == reference.occurring_items()
+    assert len(db) == len(reference)
+
+
+class TestArrayParse:
+    @pytest.mark.parametrize(
+        "text, array_path", [case[1:] for case in PARSE_CASES],
+        ids=[case[0] for case in PARSE_CASES],
+    )
+    def test_equals_reference_parser(self, tmp_path, numpy_handle, text,
+                                     array_path):
+        path = tmp_path / "db.dat"
+        path.write_bytes(text.encode())
+        db = io.load_basket(path)
+        assert_same_database(db, TransactionDatabase(io.iter_basket(path)))
+        if numpy_handle == "numpy":
+            parsed = io._parse_basket_bytes(path.read_bytes())
+            assert (parsed is not None) == array_path
+
+    @pytest.mark.skipif(io._np is None, reason="NumPy not installed")
+    @pytest.mark.parametrize("block_bytes", [1, 5, 64])
+    def test_blocks_cut_at_line_ends(self, tmp_path, monkeypatch,
+                                     block_bytes):
+        rng = random.Random(block_bytes)
+        lines = [
+            " ".join(str(rng.randint(-3, 60)) for _ in range(rng.randint(0, 9)))
+            for _ in range(200)
+        ]
+        path = tmp_path / "db.dat"
+        path.write_text("\n".join(lines))
+        monkeypatch.setattr(io, "_PARSE_BYTES", block_bytes)
+        assert io._parse_basket_bytes(path.read_bytes()) is not None
+        reference = TransactionDatabase(io.iter_basket(path))
+        assert_same_database(io.load_basket(path), reference)
+
+    @pytest.mark.parametrize("text, line", MALFORMED_CASES)
+    def test_malformed_token_reports_its_line(self, tmp_path, numpy_handle,
+                                              text, line):
+        path = tmp_path / "db.dat"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=":%d:" % line):
+            io.load_basket(path)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        baskets=st.lists(
+            st.lists(st.integers(min_value=-50, max_value=300), max_size=8),
+            max_size=30,
+        ),
+        separators=st.lists(
+            st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\x0c"]),
+            min_size=1,
+        ),
+        newlines=st.lists(st.sampled_from(["\n", "\n\n", " \n", "\r\n"]),
+                          min_size=1),
+        lead=st.sampled_from(["", " ", "\t", "\n"]),
+        final=st.booleans(),
+    )
+    def test_random_baskets_and_whitespace(self, numpy_handle, baskets,
+                                           separators, newlines, lead, final):
+        lines = []
+        for number, basket in enumerate(baskets):
+            separator = separators[number % len(separators)]
+            lines.append(lead + separator.join(
+                ("+%d" % item if item % 7 == 3 and item >= 0 else str(item))
+                for item in basket
+            ))
+        text = "".join(
+            line + newlines[number % len(newlines)]
+            for number, line in enumerate(lines)
+        )
+        if not final:
+            text = text.rstrip("\r\n")
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "db.dat"
+            path.write_bytes(text.encode())
+            reference = TransactionDatabase(io.iter_basket(path))
+            assert_same_database(io.load_basket(path), reference)
+            if io._np is not None and "\r" not in text:
+                assert io._parse_basket_bytes(text.encode()) is not None
+
+    @pytest.mark.skipif(io._np is None, reason="NumPy not installed")
+    def test_default_mine_keeps_rows_lazy(self, tmp_path):
+        rng = random.Random(3)
+        path = tmp_path / "db.dat"
+        io.save(TransactionDatabase(
+            [rng.sample(range(40), rng.randint(1, 8)) for _ in range(500)]
+        ), path)
+        db = io.load_basket(path)
+        result = pincer_search(db, 0.05)
+        assert result.mfs
+        # the per-row frozensets are the memory the flat arrays save
+        assert db._rows is None
+        assert list(db)  # asking for rows builds them
+        assert db._rows is not None

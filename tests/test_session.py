@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.core.adaptive import AdaptivePolicy
 from repro.core.bitset import ItemUniverse
 from repro.core.kernel import BitmaskKernel, TupleKernel
 from repro.core.pincer import PincerSearch, pincer_search
@@ -356,6 +357,46 @@ class TestWarmPricedKeep:
         pure = PincerSearch(adaptive=False).mine(
             scattered_db, min_count=cold_count + 1
         )
+        assert warm.mfs == pure.mfs
+
+
+class TestPerQueryPolicy:
+    """Each query of a session runs on its own copy of the policy, and a
+    warm query's pass 1 bills nothing for its infrequent singletons."""
+
+    @pytest.fixture(scope="class")
+    def prefix_db(self):
+        from repro.datagen.configs import SCATTERED, scaled
+        from repro.datagen.quest import generate
+
+        return generate(scaled(SCATTERED["T10.I4.D100K"], 500))
+
+    @staticmethod
+    def outcomes(db, counts, **options):
+        with MiningSession(db, engine="bitmap", **options) as session:
+            return [
+                (result.stats.abandon_pass, result.stats.abandon_reason)
+                for result in (
+                    session.mine(min_count=count) for count in counts
+                )
+            ]
+
+    def test_policy_prototype_is_not_shared_across_queries(self, prefix_db):
+        prototype = AdaptivePolicy()
+        shared = self.outcomes(prefix_db, (10, 12, 14), policy=prototype)
+        assert shared == self.outcomes(prefix_db, (10, 12, 14))
+        assert shared == [(2, "frequent-ratio"), (None, None), (None, None)]
+        assert not prototype.abandoned
+
+    def test_warm_pass_one_keeps_mfcs(self, prefix_db):
+        with MiningSession(prefix_db, engine="bitmap") as session:
+            for count in (10, 11, 12, 13):
+                session.mine(min_count=count)
+            warm = session.mine(min_count=14)
+        assert len(warm.stats.passes) == 1
+        assert warm.stats.abandon_pass is None
+        assert warm.stats.abandon_reason is None
+        pure = PincerSearch(adaptive=False).mine(prefix_db, min_count=14)
         assert warm.mfs == pure.mfs
 
 

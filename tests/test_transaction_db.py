@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db.transaction_db import TransactionDatabase
+from repro.db.vertical import HAVE_NUMPY, FlatBaskets, build_vertical
 
 
 class TestConstruction:
@@ -127,3 +128,46 @@ class TestHelpers:
     def test_average_transaction_size(self):
         db = TransactionDatabase([[1, 2], [1, 2, 3, 4]])
         assert db.average_transaction_size() == 3.0
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="flat baskets need NumPy")
+class TestFlatBaskets:
+    """A database over the parser's flat arrays equals one over rows."""
+
+    @staticmethod
+    def flat(rows):
+        import numpy as np
+
+        items = np.array([item for row in rows for item in row], dtype=np.int64)
+        offsets = np.cumsum([0] + [len(row) for row in rows])
+        return FlatBaskets(items, offsets)
+
+    ROWS = [[3, 1, 3], [], [7], [1, -2, 7]]
+
+    def test_matches_row_database(self):
+        db = TransactionDatabase(self.flat(self.ROWS))
+        reference = TransactionDatabase(self.ROWS)
+        assert len(db) == 4 and db._rows is None
+        assert db.universe == reference.universe == (-2, 1, 3, 7)
+        assert db.item_support_counts() == reference.item_support_counts()
+        assert db.average_transaction_size() == 1.5
+        assert db.occurring_items() == reference.occurring_items()
+        assert db._rows is None
+        assert db == reference
+
+    def test_explicit_universe(self):
+        db = TransactionDatabase(self.flat(self.ROWS), universe=range(-2, 9))
+        assert db.item_support_counts()[5] == 0
+        assert db.occurring_items() == (-2, 1, 3, 7)
+        assert bytes(db.vertical().buffer) == bytes(
+            TransactionDatabase(self.ROWS, universe=range(-2, 9))
+            .vertical().buffer
+        )
+        with pytest.raises(ValueError, match="transaction 2 "):
+            TransactionDatabase(self.flat(self.ROWS), universe=[1, 3])
+
+    def test_build_rejects_items_outside_the_universe(self):
+        with pytest.raises(ValueError, match="transaction 3 contains item -2"):
+            build_vertical(self.flat(self.ROWS), universe=[1, 3, 7])
+        with pytest.raises(ValueError, match="num_rows"):
+            build_vertical(self.flat(self.ROWS), num_rows=5)
